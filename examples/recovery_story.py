@@ -1,26 +1,32 @@
 #!/usr/bin/env python3
-"""The full operational story: verification, audit, crash, recovery.
+"""The full operational story: verification, durability, crash, recovery.
 
-Combines four operational components the paper's Section 9 motivates:
+Combines the operational components the paper's Section 9 motivates, all
+behind the one session API:
 
-1. verified batches with a running **audit trail** (who ran what, between
-   which digests, with how many proof bytes);
-2. the client's **hash-chained digest log** (its durable trust anchor);
-3. a **server snapshot** (database + certified digest);
-4. a crash: both sides restart from persisted state, cross-check each
-   other, and verification continues on the same digest chain — while a
-   *stale* snapshot restore is refused.
+1. verified batches, each journaled to the on-disk **WAL** before it is
+   acknowledged, with periodic atomic **checkpoints**;
+2. the client's **hash-chained digest log** (its durable trust anchor),
+   journaled inside every checkpoint;
+3. a crash: the process dies, a new one rebuilds the session from the
+   directory alone — replaying the WAL past the newest checkpoint and
+   cross-checking the rebuilt digest against the journaled one — and
+   verification continues on the same digest chain;
+4. a *stale* restore (an operator puts an old checkpoint back) is refused
+   instead of silently rewinding acknowledged history.
 
 Run:  python examples/recovery_story.py
 """
 
-from repro import LitmusClient, LitmusConfig, LitmusServer
-from repro.core.audit import AuditTrail
-from repro.core.checkpoint import DigestLog
-from repro.core.snapshot import restore_server, snapshot_server
+import os
+import shutil
+import tempfile
+
+from repro import LitmusConfig
+from repro.core import DurabilityConfig, LitmusSession
 from repro.crypto import RSAGroup
-from repro.db import Transaction
-from repro.errors import VerificationFailure
+from repro.db.wal import list_checkpoints, mirror_path
+from repro.errors import WalError
 from repro.vc import Program
 from repro.vc.program import (
     Add,
@@ -51,49 +57,68 @@ def main() -> None:
     group = RSAGroup.generate(bits=512, seed=b"recovery")
     config = LitmusConfig(cc="dr", processing_batch_size=8, prime_bits=64)
     accounts = {("acct", i): 1_000 for i in range(4)}
-    server = LitmusServer(initial=accounts, config=config, group=group)
-    client = LitmusClient(group, server.digest, config=config)
-    trail = AuditTrail(initial_digest=server.digest)
-    stale_snapshot = snapshot_server(server)  # kept around to show detection
+    with tempfile.TemporaryDirectory(prefix="litmus-recovery-") as scratch:
+        directory = os.path.join(scratch, "db")
+        session = LitmusSession.create(
+            initial=accounts,
+            config=config,
+            group=group,
+            checkpoint_every=2,
+            durability=DurabilityConfig(directory=directory),
+        )
+        # Kept aside to show that restoring it later is detected.
+        genesis = list_checkpoints(directory)[0]
+        stale_copy = os.path.join(scratch, os.path.basename(genesis))
+        shutil.copy(genesis, stale_copy)
 
-    txn_id = 1
-    for _round in range(3):
-        txns = [
-            Transaction(txn_id + j, TRANSFER, {"src": j % 4, "dst": (j + 1) % 4, "amount": 25})
-            for j in range(5)
-        ]
-        txn_id += 5
-        response = server.execute_batch(txns)
-        verdict = client.verify_response(txns, response)
-        trail.observe(txns, response, verdict)
-        assert verdict.accepted
+        for _round in range(3):
+            for j in range(5):
+                session.submit(
+                    f"user{j}", TRANSFER, src=j % 4, dst=(j + 1) % 4, amount=25
+                )
+            assert session.flush().accepted
+        for entry in session.digest_log.entries():
+            print(
+                f"  digest log #{entry.sequence}: {entry.num_txns} txn(s) "
+                f"-> {entry.digest:#x}"[:72] + "..."
+            )
+        acknowledged = session.digest
+        del session  # the crash: no close(), no goodbye
 
-    print(trail.render())
-    server_state = snapshot_server(server)
-    client_state = trail.digest_log.to_json()
-    print("\n-- crash: both sides restart from persisted state --")
+        print("\n-- crash: a new process recovers from the directory alone --")
+        recovered = LitmusSession.recover(directory, [TRANSFER], group=group)
+        report = recovered.recovery_report
+        print(
+            f"recovered: checkpoint seq {report.checkpoint_seq}, replayed "
+            f"{report.replayed_batches} WAL batch(es) to seq {report.last_seq}"
+        )
+        assert recovered.digest == acknowledged
+        print("rebuilt digest matches the last acknowledged digest")
+        recovered.digest_log.verify_chain()
+        assert len(recovered.digest_log) == 4  # genesis + three batches
 
-    restored_log = DigestLog.from_json(client_state)
-    try:
-        restore_server(stale_snapshot, config, group, expected_digest=restored_log.latest_digest)
-        raise SystemExit("stale snapshot slipped through!")
-    except VerificationFailure as exc:
-        print(f"stale snapshot refused: {exc}")
+        for j in range(4):
+            recovered.submit(
+                f"user{j}", TRANSFER, src=j % 4, dst=(j + 2) % 4, amount=10
+            )
+        result = recovered.flush()
+        print(f"post-recovery batch verified: {result.accepted}")
+        assert result.accepted
+        total = sum(recovered.server.db.get(("acct", i)) for i in range(4))
+        print(f"balances conserved across the crash: {total} (expected 4000)")
+        assert total == 4000
+        recovered.close()
 
-    restored_server = restore_server(
-        server_state, config, group, expected_digest=restored_log.latest_digest
-    )
-    restored_client = LitmusClient(group, restored_log.latest_digest, config=config)
-    txns = [
-        Transaction(txn_id + j, TRANSFER, {"src": j % 4, "dst": (j + 2) % 4, "amount": 10})
-        for j in range(4)
-    ]
-    verdict = restored_client.verify_response(txns, restored_server.execute_batch(txns))
-    print(f"post-recovery batch verified: {verdict.accepted}")
-    assert verdict.accepted
-    total = sum(restored_server.db.get(("acct", i)) for i in range(4))
-    print(f"balances conserved across the crash: {total} (expected 4000)")
-    assert total == 4000
+        print("\n-- an operator restores a stale checkpoint --")
+        for path in list_checkpoints(directory):
+            os.unlink(path)
+            os.unlink(mirror_path(path))
+        shutil.copy(stale_copy, genesis)
+        try:
+            LitmusSession.recover(directory, [TRANSFER], group=group)
+            raise SystemExit("stale checkpoint slipped through!")
+        except WalError as exc:
+            print(f"stale checkpoint refused: {exc}")
 
 
 if __name__ == "__main__":

@@ -57,9 +57,11 @@ tail (:class:`~repro.faults.TornWrite`), then restarts via
 ``LitmusSession.recover`` and prints the digest cross-check — exiting
 non-zero unless every acknowledged batch survived and the rebuilt digest
 matches the journaled one.  Pointed at a *non-empty* directory it
-attempts a real recovery of that deployment and prints the report; a
-missing directory or an unrecoverable (corrupt) one exits non-zero with
-a one-line diagnosis, never a traceback.
+attempts a real recovery of that deployment — unsharded, or sharded when
+it holds ``shard-NN`` subdirectories (as ``--serve --shards S`` writes) —
+and prints the per-shard and cross-shard report; a missing directory or
+an unrecoverable (corrupt) one exits non-zero with a one-line diagnosis,
+never a traceback.
 
 The scrubber audits a durability directory proactively::
 
@@ -351,13 +353,23 @@ def _recover_cmd(directory: str, seed: int) -> tuple[str, int]:
     return transcript, 0 if recovered else 1
 
 
+def _recover_any(directory: str, programs: list):
+    """Recover whatever layout is on disk: ``shard-NN`` subdirectories mean
+    a sharded deployment, anything else the scalar one."""
+    from .core import LitmusSession, ShardedSession
+    from .db.wal import list_shard_directories
+
+    if list_shard_directories(directory):
+        return ShardedSession.recover(directory, programs)
+    return LitmusSession.recover(directory, programs)
+
+
 def _recover_existing(directory: str) -> tuple[str, int]:
     """Real recovery of a non-empty durability directory; report or fail."""
-    from .core import LitmusSession
     from .errors import ReproError
 
     try:
-        session = LitmusSession.recover(directory, [_demo_transfer()])
+        session = _recover_any(directory, [_demo_transfer()])
     except ReproError as exc:
         return (
             f"error: recovery from {directory!r} failed: {exc}",
@@ -365,19 +377,38 @@ def _recover_existing(directory: str) -> tuple[str, int]:
         )
     except OSError as exc:
         return (f"error: cannot read {directory!r}: {exc}", 1)
-    report = session.recovery_report
     session.close()
-    lines = [
-        f"Recovered durable deployment at {directory!r}",
-        f"  checkpoint : seq {report.checkpoint_seq}",
-        f"  replayed   : {report.replayed_batches} batch(es) "
-        f"(tip seq {report.last_seq})",
-        f"  repaired   : {report.truncations} torn tail(s), "
-        f"{report.truncated_bytes} byte(s), "
-        f"{report.dropped_segments} dropped segment(s)",
-        f"  digest     : {report.digest:#x}",
-        f"  duration   : {report.duration_seconds:.3f}s",
-    ]
+    xshard = getattr(session, "xshard_report", None)
+    if xshard is None:
+        reports = [("", session.recovery_report)]
+        lines = [f"Recovered durable deployment at {directory!r}"]
+    else:
+        reports = [
+            (f"shard {index} ", report)
+            for index, report in enumerate(session.recovery_reports)
+        ]
+        lines = [
+            f"Recovered durable deployment at {directory!r} "
+            f"({len(reports)} shards)"
+        ]
+    for label, report in reports:
+        lines += [
+            f"  {label}checkpoint : seq {report.checkpoint_seq}",
+            f"  {label}replayed   : {report.replayed_batches} batch(es) "
+            f"(tip seq {report.last_seq})",
+            f"  {label}repaired   : {report.truncations} torn tail(s), "
+            f"{report.truncated_bytes} byte(s), "
+            f"{report.dropped_segments} dropped segment(s)",
+            f"  {label}digest     : {report.digest:#x}",
+            f"  {label}duration   : {report.duration_seconds:.3f}s",
+        ]
+    if xshard is not None:
+        lines.append(
+            f"  cross-shard: {xshard.rounds} round(s), {xshard.in_doubt} in "
+            f"doubt — {xshard.committed} committed, {xshard.aborted} "
+            f"aborted, {xshard.rolled_forward} rolled forward, "
+            f"{xshard.truncated_records} WAL record(s) truncated"
+        )
     return "\n".join(lines), 0
 
 
@@ -617,12 +648,7 @@ def _serve(address: str, data_dir: str | None, shards: int) -> int:
     initial = {("acct", i): 100 for i in range(8)}
     try:
         if durability is not None and os.listdir(data_dir):
-            # Recover whatever layout is on disk: shard-NN subdirectories
-            # mean a sharded deployment, anything else the scalar one.
-            if os.path.isdir(os.path.join(data_dir, "shard-00")):
-                session = ShardedSession.recover(data_dir, [transfer])
-            else:
-                session = LitmusSession.recover(data_dir, [transfer])
+            session = _recover_any(data_dir, [transfer])
             recovered = getattr(session, "num_shards", 1)
             if recovered != shards and shards != 1:
                 session.close()

@@ -17,6 +17,10 @@ Wires the substrates together exactly as Figure 1 describes:
   extensions (real-time hybrid mode; verifiable consistency invariants);
 - :mod:`repro.core.session` — the client-facing facade
   (:class:`LitmusSession` / :class:`BatchResult`);
+- :mod:`repro.core.recovery` — the one recovery path (read a durability
+  directory once → replay → rebuild → digest cross-check, plus in-doubt
+  cross-shard resolution) that ``recover`` and ``resync`` of both session
+  kinds call;
 - :mod:`repro.core.api` — the :class:`VerifiedSession` protocol every
   session implementation satisfies, and the :class:`DigestVector` digest
   type;
@@ -53,7 +57,6 @@ from .session import (
     UserTicket,
 )
 from .sharding import ShardMap, ShardedSession, XShardRecoveryReport
-from .snapshot import restore_server, snapshot_server
 
 __all__ = [
     "AuditRecord",
@@ -75,8 +78,6 @@ __all__ = [
     "MerkleServerClient",
     "PieceResult",
     "RecoveryReport",
-    "restore_server",
-    "snapshot_server",
     "ReadCertificate",
     "RetryPolicy",
     "ServerResponse",

@@ -82,15 +82,9 @@ from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
 
 from ..crypto.rsa_group import RSAGroup
-from ..db.commandlog import decode_batch, encode_batch
-from ..db.database import Database
+from ..db.commandlog import encode_batch
 from ..db.txn import Transaction
-from ..db.wal import (
-    DurabilityConfig,
-    DurabilityManager,
-    scan_wal,
-    select_checkpoint,
-)
+from ..db.wal import DurabilityConfig, DurabilityManager
 from ..errors import (
     BatchRejectedError,
     ClientAPIError,
@@ -114,6 +108,12 @@ from .checkpoint import DigestLog
 from .client import ClientVerdict, LitmusClient
 from .config import LitmusConfig
 from .protocol import ServerResponse, TimingReport
+from .recovery import (
+    RecoveryReport,
+    as_program_map,
+    read_durable_state,
+    replay_and_rebuild,
+)
 from .server import LitmusServer
 
 __all__ = [
@@ -297,39 +297,6 @@ class BatchResult:
 
 
 @dataclass(frozen=True)
-class RecoveryReport:
-    """What one ``LitmusSession.recover`` run found, replayed and repaired.
-
-    - ``checkpoint_seq`` — batch sequence the loaded checkpoint covered;
-    - ``replayed_batches`` — WAL records replayed past the checkpoint;
-    - ``last_seq`` — the recovered tip of the durable history;
-    - ``digest`` — the journaled client digest the rebuilt state matched;
-    - ``truncations`` / ``truncated_bytes`` / ``dropped_segments`` — tail
-      damage the scan repaired (torn writes, bit rot) instead of raising;
-    - ``duration_seconds`` — wall-clock of the whole recovery;
-    - ``checkpoint_path`` — the checkpoint file the recovery actually
-      loaded (a ``.ckpt.mirror`` when the primary was rotted and the
-      mirror saved the day);
-    - ``checkpoint_from_mirror`` — True iff the loaded copy was a mirror;
-    - ``checkpoint_rejected`` — ``"filename: reason"`` for every newer
-      candidate (primary or mirror) that failed validation and was
-      skipped on the way to the loaded one.
-    """
-
-    checkpoint_seq: int
-    replayed_batches: int
-    last_seq: int
-    digest: int
-    truncations: int
-    truncated_bytes: int
-    dropped_segments: int
-    duration_seconds: float
-    checkpoint_path: str = ""
-    checkpoint_from_mirror: bool = False
-    checkpoint_rejected: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class _ResumeState:
     """Private recover() → __init__ handoff: continue, don't start over."""
 
@@ -507,24 +474,16 @@ class LitmusSession:
     ) -> "LitmusSession":
         """Rebuild a durable session from its directory after a restart.
 
-        The restart recovery algorithm:
-
-        1. load the newest checkpoint that validates (checksum + internal
-           consistency; rotted candidates fall back to older ones);
-        2. scan the WAL, *repairing* tail damage — a torn or bit-rotted
-           suffix is truncated away (``wal.torn_tail_truncated``), never
-           raised;
-        3. replay every record past the checkpoint through a fresh
-           :class:`~repro.db.database.Database` (*programs* supplies the
-           stored procedures the journaled command logs name);
-        4. rebuild the server — store *and* authenticated dictionary — from
-           the replayed contents and cross-check the rebuilt digest against
-           the journaled client-verified digest.  Agreement proves the
-           recovered state is exactly what the client last acknowledged;
-           disagreement raises :class:`~repro.errors.ServerDesyncError`;
-        5. resume: the new session continues the sequence/txn-id spaces and
-           the hash-chained digest log, and immediately consolidates the
-           replayed history into a fresh checkpoint.
+        Runs the one recovery path of :mod:`repro.core.recovery` — newest
+        valid checkpoint, repairing WAL scan, replay of every record past
+        the checkpoint (*programs* supplies the stored procedures the
+        journaled command logs name), server rebuild, and the digest
+        cross-check that raises :class:`~repro.errors.ServerDesyncError`
+        unless the recovered state is exactly what the client last
+        acknowledged — then resumes: the new session continues the
+        sequence/txn-id spaces and the hash-chained digest log, and
+        immediately consolidates the replayed history into a fresh
+        checkpoint.
 
         *group* optionally reuses an existing :class:`RSAGroup` (it must
         match the journaled parameters; with it, servers keep the trapdoor
@@ -534,107 +493,51 @@ class LitmusSession:
         start = perf_counter()
         tracer = tracer if tracer is not None else get_tracer()
         registry = registry if registry is not None else get_metrics()
-        if isinstance(programs, Mapping):
-            program_map = dict(programs)
-        else:
-            program_map = {program.name: program for program in programs}
-        selection = select_checkpoint(directory)
-        checkpoint = selection.checkpoint
-        records, scan = scan_wal(directory, registry=registry, repair=True)
-        replay = [record for record in records if record.seq > checkpoint.seq]
-        if replay and replay[0].seq != checkpoint.seq + 1:
-            raise WalError(
-                f"WAL resumes at sequence {replay[0].seq} but the newest "
-                f"valid checkpoint covers up to {checkpoint.seq}; "
-                "acknowledged batches in between are unrecoverable"
-            )
-        config = LitmusConfig(**checkpoint.config)
-        if group is None:
-            group = RSAGroup(checkpoint.group_modulus, checkpoint.group_generator)
-        elif (
-            group.modulus != checkpoint.group_modulus
-            or group.generator != checkpoint.group_generator
-        ):
-            raise WalError(
-                "supplied RSA group disagrees with the journaled parameters"
-            )
-        digest_log = DigestLog.from_json(checkpoint.digest_log_json)
-        if digest_log.latest_digest != checkpoint.digest:
-            raise VerificationFailure(
-                "journaled digest log does not end at the checkpoint digest"
-            )
-        with tracer.span("recover", batches=len(replay)):
-            replayed = Database(
-                initial=checkpoint.rows,
-                cc=config.cc,
-                processing_batch_size=config.processing_batch_size,
-                num_threads=config.num_db_threads,
-            )
-            next_txn_id = checkpoint.next_txn_id
-            for record in replay:
-                txns = decode_batch(record.command_log, program_map)
-                replayed.run(txns)
-                digest_log.record(record.digest, len(txns))
-                next_txn_id = max(
-                    next_txn_id, max(txn.txn_id for txn in txns) + 1
+        program_map = as_program_map(programs)
+        state = read_durable_state(directory, repair=True, registry=registry)
+        checkpoint = state.checkpoint
+        last_seq, expected = state.tip
+        digest_log = state.digest_log()
+        with tracer.span("recover", batches=len(state.records)):
+            try:
+                server, batches = replay_and_rebuild(
+                    checkpoint.rows,
+                    [record.command_log for record in state.records],
+                    program_map,
+                    expected,
+                    config=LitmusConfig(**checkpoint.config),
+                    group=state.group(group),
+                    cost_model=cost_model,
+                    invariants=invariants,
+                    tracer=tracer,
+                    fault_plan=fault_plan,
                 )
-            rebuilt = LitmusServer(
-                initial=replayed.snapshot(),
-                config=config,
-                group=group,
-                cost_model=cost_model,
-                invariants=invariants,
-                tracer=tracer,
-                fault_plan=fault_plan,
-            )
-            # The digest cross-check: the AD digest is a pure function of
-            # the contents, so the rebuilt digest matching the journaled
-            # client-verified digest proves the recovered state is exactly
-            # the one the client last acknowledged.
-            expected = replay[-1].digest if replay else checkpoint.digest
-            if rebuilt.digest != expected:
+            except ServerDesyncError:
                 registry.counter("recovery.digest_mismatches").inc()
-                raise ServerDesyncError(
-                    "recovered state does not reproduce the journaled "
-                    f"client-verified digest (got {rebuilt.digest:#x}, "
-                    f"expected {expected:#x}); the durable history has "
-                    "diverged from what the client acknowledged"
-                )
-        durability = DurabilityConfig(directory=directory, **checkpoint.durability)
-        resume = _ResumeState(
-            next_txn_id=next_txn_id,
-            last_seq=replay[-1].seq if replay else checkpoint.seq,
-            digest_log=digest_log,
-        )
+                raise
+        next_txn_id = checkpoint.next_txn_id
+        for record, txns in zip(state.records, batches):
+            digest_log.record(record.digest, len(txns))
+            next_txn_id = max(next_txn_id, max(txn.txn_id for txn in txns) + 1)
         session = cls(
-            rebuilt,
+            server,
             max_batch=max_batch,
             tracer=tracer,
             registry=registry,
             retry_policy=retry_policy,
             fault_plan=fault_plan,
             checkpoint_every=checkpoint_every,
-            durability=durability,
+            durability=DurabilityConfig(
+                directory=directory, **checkpoint.durability
+            ),
             shard_index=shard_index,
-            _resume=resume,
+            _resume=_ResumeState(next_txn_id, last_seq, digest_log),
         )
         session._programs.update(program_map)
         duration = perf_counter() - start
-        registry.counter("recovery.replayed_batches").inc(len(replay))
+        registry.counter("recovery.replayed_batches").inc(len(state.records))
         registry.histogram("recovery.duration").observe(duration)
-        session.recovery_report = RecoveryReport(
-            checkpoint_seq=checkpoint.seq,
-            replayed_batches=len(replay),
-            last_seq=resume.last_seq,
-            digest=session.client.digest,
-            truncations=scan.truncations,
-            truncated_bytes=scan.truncated_bytes,
-            dropped_segments=scan.dropped_segments,
-            duration_seconds=duration,
-            checkpoint_path=selection.loaded_path,
-            checkpoint_from_mirror=selection.used_mirror,
-            checkpoint_rejected=selection.rejected,
-        )
+        session.recovery_report = state.report(session.client.digest, duration)
         return session
 
     # -- user-facing API ---------------------------------------------------------
@@ -758,46 +661,35 @@ class LitmusSession:
     def resync(self) -> int:
         """Re-derive a trusted server from the verified history.
 
-        Replays the command log of every verified batch since the last
-        checkpoint (:mod:`repro.db.commandlog` — determinism of the CC
-        algorithm makes the log sufficient) against the checkpoint state,
-        rebuilds the server (store *and* authenticated dictionary) from the
-        re-derived contents, and cross-checks the rebuilt digest against
-        the client's verified digest.  Agreement proves the recovery
-        produced exactly the state the client last accepted; disagreement
-        means the durable history itself has diverged and raises
+        The in-memory twin of :meth:`recover`, through the same kernel
+        (:func:`~repro.core.recovery.replay_and_rebuild`): the command log
+        of every verified batch since the last checkpoint is replayed
+        against the checkpoint state and the rebuilt digest cross-checked
+        against the client's verified digest.  Disagreement means the
+        history itself has diverged and raises
         :class:`~repro.errors.ServerDesyncError`.
 
         Returns the re-derived digest (== ``self.digest``).
         """
         self.resyncs += 1
         self.registry.counter("session.resyncs").inc()
-        config = self.server.config
         with self.tracer.span("resync", batches=len(self._command_log)):
-            replayed = Database(
-                initial=self._base_state,
-                cc=config.cc,
-                processing_batch_size=config.processing_batch_size,
-                num_threads=config.num_db_threads,
-            )
-            for log in self._command_log:
-                replayed.run(decode_batch(log, self._programs))
-            rebuilt = LitmusServer(
-                initial=replayed.snapshot(),
-                config=config,
-                group=self.server.group,
-                cost_model=self.server.cost_model,
-                invariants=self.server.invariants,
-                tracer=self.tracer,
-                fault_plan=self.fault_plan,
-            )
-            if rebuilt.digest != self.client.digest:
-                self.registry.counter("session.resync_failures").inc()
-                raise ServerDesyncError(
-                    "replaying the verified command log does not reproduce the "
-                    f"client's digest (got {rebuilt.digest:#x}, expected "
-                    f"{self.client.digest:#x}); server history has diverged"
+            try:
+                rebuilt, _batches = replay_and_rebuild(
+                    self._base_state,
+                    self._command_log,
+                    self._programs,
+                    self.client.digest,
+                    config=self.server.config,
+                    group=self.server.group,
+                    cost_model=self.server.cost_model,
+                    invariants=self.server.invariants,
+                    tracer=self.tracer,
+                    fault_plan=self.fault_plan,
                 )
+            except ServerDesyncError:
+                self.registry.counter("session.resync_failures").inc()
+                raise
         self.server = rebuilt
         return rebuilt.digest
 

@@ -90,23 +90,21 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..crypto.rsa_group import RSAGroup
 from ..db.detreserve import CrossShardPlan, CrossShardReserver
+from ..db.fsio import OS_FILESYSTEM, FaultyFileSystem, FileSystem
 from ..db.wal import (
     INTENT_JOURNAL_NAME,
     IntentJournal,
+    IntentRecord,
     IntentTxn,
-    list_segments,
-    load_latest_checkpoint,
-    scan_wal,
-    segment_records,
+    shard_directory,
 )
-from ..db.fsio import OS_FILESYSTEM, FaultyFileSystem
 from ..db.wal.config import DurabilityConfig
+from ..db.wal.intents import STATE_PENDING
 from ..errors import (
     DeadlineExceeded,
     DurabilityError,
@@ -119,6 +117,18 @@ from ..obs.spans import Tracer, get_tracer
 from ..vc.program import Param, Program, WriteStmt
 from .api import DigestVector
 from .config import LitmusConfig
+from .recovery import (
+    ABORT,
+    COMMIT,
+    ROLL_FORWARD,
+    TRUNCATE_ABORT,
+    XShardRecoveryReport,
+    as_program_map,
+    read_durable_state,
+    read_sharded_layout,
+    resolve_in_doubt,
+    truncate_tail_record,
+)
 from .session import (
     BatchResult,
     LitmusSession,
@@ -239,28 +249,44 @@ class _PendingCall:
         self.params = params
 
 
-@dataclass(frozen=True)
-class XShardRecoveryReport:
-    """What ``ShardedSession.recover`` found in the cross-shard intent journal.
+def _filesystem_for(fault_plan, shard: int | None) -> FileSystem:
+    """The filesystem shard *shard* (``None`` = the coordinator) writes
+    through: the real one, made faultable when a plan is attached so
+    disk-fault schedules reach every recovery and journal write too."""
+    if fault_plan is None:
+        return OS_FILESYSTEM
+    return FaultyFileSystem(fault_plan, OS_FILESYSTEM, shard=shard)
 
-    - ``rounds`` — intents scanned (resolved and pending);
-    - ``in_doubt`` — rounds with no durable resolution at scan time;
-    - ``committed`` — in-doubt rounds found durably applied on every
-      participant (forward-completed with a ``commit`` record);
-    - ``aborted`` — in-doubt rounds resolved by abort: applied nowhere, or
-      undone by truncating the apply record off the applied WAL tails;
-    - ``rolled_forward`` — in-doubt rounds whose apply survived somewhere
-      beyond physical undo and was re-applied on the missing participants;
-    - ``truncated_records`` — per-shard WAL records physically removed by
-      abort resolutions.
+
+def _fan_out(
+    work: Callable[[int], object], indexes: Sequence[int]
+) -> tuple[dict, dict[int, BaseException]]:
+    """Run ``work(i)`` for every shard index, one thread per shard.
+
+    Never raises: returns ``(results, errors)`` keyed by shard index once
+    every thread has finished, so the caller re-raises deterministically
+    (lowest shard first) regardless of thread scheduling.
     """
+    results: dict = {}
+    errors: dict[int, BaseException] = {}
 
-    rounds: int = 0
-    in_doubt: int = 0
-    committed: int = 0
-    aborted: int = 0
-    rolled_forward: int = 0
-    truncated_records: int = 0
+    def _one(index: int) -> None:
+        try:
+            results[index] = work(index)
+        except BaseException as exc:  # noqa: BLE001 — re-raised by the caller
+            errors[index] = exc
+
+    if len(indexes) == 1:
+        _one(indexes[0])
+    else:
+        threads = [
+            threading.Thread(target=_one, args=(i,), daemon=True) for i in indexes
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    return results, errors
 
 
 class ShardedSession:
@@ -355,7 +381,7 @@ class ShardedSession:
             shard_durability = None
             if durability is not None:
                 shard_durability = DurabilityConfig(
-                    directory=cls._shard_dir(durability.directory, index),
+                    directory=shard_directory(durability.directory, index),
                     **durability.settings(),
                 )
             sessions.append(
@@ -377,20 +403,12 @@ class ShardedSession:
         intent_journal = None
         if durability is not None:
             os.makedirs(durability.directory, exist_ok=True)
-            # The coordinator journal gets the same faultable filesystem
-            # the shard engines run on (shard=None targets the coordinator
-            # in disk-fault schedules).
-            journal_fs = (
-                FaultyFileSystem(fault_plan, OS_FILESYSTEM, shard=None)
-                if fault_plan is not None
-                else OS_FILESYSTEM
-            )
             intent_journal = IntentJournal(
                 os.path.join(durability.directory, INTENT_JOURNAL_NAME),
                 num_shards=num_shards,
                 fsync=durability.fsync != "never",
                 registry=registry,
-                fs=journal_fs,
+                fs=_filesystem_for(fault_plan, None),
             )
         return cls(
             sessions,
@@ -400,10 +418,6 @@ class ShardedSession:
             registry=registry,
             intent_journal=intent_journal,
         )
-
-    @staticmethod
-    def _shard_dir(parent: str, index: int) -> str:
-        return os.path.join(parent, f"shard-{index:02d}")
 
     @classmethod
     def recover(
@@ -425,12 +439,13 @@ class ShardedSession:
         Discovers the ``shard-NN`` subdirectories of *directory* (their
         count fixes S — it must match the ShardMap the data was written
         under), resolves every in-doubt cross-shard round recorded in the
-        intent journal (module docstring: commit / abort / truncate-undo /
-        roll-forward), recovers every shard in parallel threads, and
-        cross-checks each shard's rebuilt digest against its own journaled
-        history exactly as unsharded recovery does.  *programs* needs only
-        the application's programs; the ``@apply`` companions the
-        cross-shard path journaled are re-derived automatically.
+        intent journal (:func:`~repro.core.recovery.resolve_in_doubt`:
+        commit / abort / truncate-abort / roll-forward), recovers every
+        shard in parallel threads through :meth:`LitmusSession.recover` —
+        so each shard cross-checks its rebuilt digest against its own
+        journaled history exactly as unsharded recovery does.  *programs*
+        needs only the application's programs; the ``@apply`` companions
+        the cross-shard path journaled are re-derived automatically.
 
         Layout damage (a missing or renamed ``shard-NN`` directory, an
         intent journal naming more shards than the directory holds) and
@@ -439,162 +454,63 @@ class ShardedSession:
         in-doubt resolution summary lands on ``session.xshard_report``.
         """
         registry = registry if registry is not None else get_metrics()
-        if isinstance(programs, Mapping):
-            program_map = dict(programs)
-        else:
-            program_map = {program.name: program for program in programs}
-        program_map = with_apply_programs(program_map)
-        shard_dirs = sorted(
-            name
-            for name in os.listdir(directory)
-            if name.startswith("shard-")
-            and os.path.isdir(os.path.join(directory, name))
-        )
-        if not shard_dirs:
-            raise RecoveryError(
-                f"{directory!r} holds no shard-NN subdirectories; was this "
-                "directory written by a ShardedSession?"
-            )
-        expected = [f"shard-{i:02d}" for i in range(len(shard_dirs))]
-        if shard_dirs != expected:
-            missing = sorted(set(expected) - set(shard_dirs))
-            raise RecoveryError(
-                f"shard directories {shard_dirs} are not the contiguous "
-                f"set {expected}"
-                + (
-                    f"; missing or renamed: {', '.join(missing)}"
-                    if missing
-                    else ""
-                )
-                + "; refusing to recover a partial keyspace"
-            )
+        tracer = tracer if tracer is not None else get_tracer()
+        program_map = with_apply_programs(as_program_map(programs))
+        shard_dirs, intents = read_sharded_layout(directory)
 
         # -- in-doubt cross-shard resolution (before any shard replays) ------
-        journal_path = os.path.join(directory, INTENT_JOURNAL_NAME)
-        intents, _journal_scan = IntentJournal.scan(journal_path, repair=True)
-        for record in intents:
-            if record.num_shards != len(shard_dirs):
-                lost = [
-                    f"shard-{i:02d}"
-                    for i in range(len(shard_dirs), record.num_shards)
-                ]
-                raise RecoveryError(
-                    f"intent journal round {record.round_id} was written by "
-                    f"a {record.num_shards}-shard deployment but "
-                    f"{directory!r} holds {len(shard_dirs)} shard "
-                    "directories"
-                    + (f"; missing: {', '.join(lost)}" if lost else "")
-                )
-        pending = [r for r in intents if r.state == "pending"]
-        resolutions: list[tuple[int, str, str]] = []
-        aborted_rounds = []
-        roll_forward = []  # (record, {shard: applied?})
-        committed = aborted = truncated_records = 0
-        for record in pending:
-            applied = {
-                index: cls._participant_applied(
-                    cls._shard_dir(directory, index),
-                    record.pre_seqs[index],
-                    record.pre_digests[index],
-                )
-                for index in record.participants
-            }
-            if all(applied.values()):
-                committed += 1
-                resolutions.append(
-                    (
-                        record.round_id,
-                        "committed",
-                        "in-doubt round found durably applied on every "
-                        "participant",
+        # Each participant's durable state is read once, without repair:
+        # the per-shard recovery below owns the repair and its reporting.
+        in_doubt = {
+            index
+            for record in intents
+            if record.state == STATE_PENDING
+            for index in record.participants
+        }
+        decisions = resolve_in_doubt(
+            intents,
+            {i: read_durable_state(shard_dirs[i], repair=False) for i in in_doubt},
+        )
+        for decision in decisions:
+            if decision.action == TRUNCATE_ABORT:
+                for index in decision.applied:
+                    truncate_tail_record(
+                        shard_dirs[index],
+                        decision.record.pre_seqs[index] + 1,
+                        fs=_filesystem_for(fault_plan, index),
                     )
-                )
-            elif not any(applied.values()):
-                aborted += 1
-                aborted_rounds.append(record)
-                resolutions.append(
-                    (
-                        record.round_id,
-                        "aborted",
-                        "in-doubt round applied on no participant",
-                    )
-                )
-            else:
-                # Partial apply.  Undo is preferred (the round was never
-                # acknowledged), but only possible while every applied
-                # copy is still a bare WAL tail record; once any copy was
-                # consolidated into a checkpoint the round must roll
-                # forward instead.
-                applied_on = sorted(i for i, a in applied.items() if a)
-                if all(
-                    cls._tail_record_truncatable(
-                        cls._shard_dir(directory, i), record.pre_seqs[i]
-                    )
-                    for i in applied_on
-                ):
-                    for i in applied_on:
-                        cls._truncate_tail_record(
-                            cls._shard_dir(directory, i),
-                            record.pre_seqs[i] + 1,
-                        )
-                        truncated_records += 1
-                    aborted += 1
-                    aborted_rounds.append(record)
-                    resolutions.append(
-                        (
-                            record.round_id,
-                            "aborted",
-                            "partial apply undone by truncating the WAL "
-                            f"tail of shard(s) {applied_on}",
-                        )
-                    )
-                else:
-                    roll_forward.append((record, applied))
         journal = IntentJournal(
-            journal_path,
+            os.path.join(directory, INTENT_JOURNAL_NAME),
             num_shards=len(shard_dirs),
             fsync=True,
             registry=registry,
-            fs=(
-                FaultyFileSystem(fault_plan, OS_FILESYSTEM, shard=None)
-                if fault_plan is not None
-                else OS_FILESYSTEM
-            ),
+            fs=_filesystem_for(fault_plan, None),
         )
-        for round_id, state, reason in resolutions:
-            journal.log_resolution(round_id, state, reason)
+        for decision in decisions:
+            if decision.action != ROLL_FORWARD:  # those resolve once re-applied
+                journal.log_resolution(
+                    decision.record.round_id,
+                    "committed" if decision.action == COMMIT else "aborted",
+                    decision.reason,
+                )
 
         # -- per-shard replay -------------------------------------------------
-        tracer = tracer if tracer is not None else get_tracer()
-        sessions: list[LitmusSession | None] = [None] * len(shard_dirs)
-        errors: dict[int, BaseException] = {}
-
-        def _recover_one(index: int) -> None:
-            try:
-                sessions[index] = LitmusSession.recover(
-                    os.path.join(directory, shard_dirs[index]),
-                    program_map,
-                    group=group,
-                    invariants=invariants,
-                    max_batch=max_batch,
-                    tracer=tracer,
-                    registry=registry,
-                    retry_policy=retry_policy,
-                    fault_plan=fault_plan,
-                    checkpoint_every=checkpoint_every,
-                    shard_index=index,
-                )
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                errors[index] = exc
-
-        threads = [
-            threading.Thread(target=_recover_one, args=(i,), daemon=True)
-            for i in range(len(shard_dirs))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        sessions, errors = _fan_out(
+            lambda index: LitmusSession.recover(
+                shard_dirs[index],
+                program_map,
+                group=group,
+                invariants=invariants,
+                max_batch=max_batch,
+                tracer=tracer,
+                registry=registry,
+                retry_policy=retry_policy,
+                fault_plan=fault_plan,
+                checkpoint_every=checkpoint_every,
+                shard_index=index,
+            ),
+            range(len(shard_dirs)),
+        )
         if errors:
             index = min(errors)
             primary = errors[index]
@@ -605,7 +521,7 @@ class ShardedSession:
                 f"{type(primary).__name__}: {primary}"
             ) from primary
         session = cls(
-            [s for s in sessions if s is not None],
+            [sessions[index] for index in range(len(shard_dirs))],
             ShardMap(len(shard_dirs)),
             max_batch=max_batch,
             tracer=tracer,
@@ -616,127 +532,42 @@ class ShardedSession:
         session.recovery_reports = tuple(s.recovery_report for s in session.shards)
 
         # -- roll-forward + cross-checks (needs the live shards) --------------
-        rolled_forward = 0
-        for record, applied in roll_forward:
-            session._roll_forward_round(record, applied, program_map)
-            journal.log_resolution(
-                record.round_id,
-                "committed",
-                "partial apply rolled forward on the missing participants",
-            )
-            rolled_forward += 1
-        for record in aborted_rounds:
-            for index in record.participants:
-                report = session.shards[index].recovery_report
-                recovered_digest = int(session.shards[index].client.digest)
-                if (
-                    report is not None
-                    and report.last_seq == record.pre_seqs[index]
-                    and recovered_digest != record.pre_digests[index]
-                ):
-                    raise RecoveryError(
-                        f"shard {index} recovered digest "
-                        f"{recovered_digest:#x} does not match the "
-                        "journaled pre-round watermark "
-                        f"{record.pre_digests[index]:#x} of aborted "
-                        f"cross-shard round {record.round_id}"
-                    )
-        registry.counter("xshard.in_doubt_resolved").inc(len(pending))
-        session.xshard_report = XShardRecoveryReport(
-            rounds=len(intents),
-            in_doubt=len(pending),
-            committed=committed,
-            aborted=aborted,
-            rolled_forward=rolled_forward,
-            truncated_records=truncated_records,
+        for decision in decisions:
+            record = decision.record
+            if decision.action == ROLL_FORWARD:
+                session._roll_forward_round(record, decision.applied, program_map)
+                journal.log_resolution(record.round_id, "committed", decision.reason)
+            elif decision.action in (ABORT, TRUNCATE_ABORT):
+                for index in record.participants:
+                    shard = session.shards[index]
+                    recovered_digest = int(shard.client.digest)
+                    if (
+                        shard.recovery_report.last_seq == record.pre_seqs[index]
+                        and recovered_digest != record.pre_digests[index]
+                    ):
+                        raise RecoveryError(
+                            f"shard {index} recovered digest "
+                            f"{recovered_digest:#x} does not match the "
+                            "journaled pre-round watermark "
+                            f"{record.pre_digests[index]:#x} of aborted "
+                            f"cross-shard round {record.round_id}"
+                        )
+        registry.counter("xshard.in_doubt_resolved").inc(len(decisions))
+        session.xshard_report = XShardRecoveryReport.summarize(
+            len(intents), decisions
         )
         return session
 
-    # -- in-doubt resolution helpers ------------------------------------------
-
-    @staticmethod
-    def _participant_applied(
-        shard_dir: str, pre_seq: int, pre_digest: int
-    ) -> bool:
-        """Did this shard durably apply its batch of the journaled round?
-
-        The round's apply batch, when it reached this shard's durability
-        barrier, is the record at ``pre_seq + 1`` — either still a WAL
-        record or already consolidated into a checkpoint at that sequence.
-        A live compensation rewrites the same-sequence checkpoint with the
-        *pre-round* digest, so "durably applied" is: the durable tip moved
-        past the watermark **and** its digest differs from the watermark
-        digest.  (An apply whose writes change nothing leaves the digest
-        unchanged; classifying it as not-applied is harmless because both
-        resolutions produce identical state.)
-
-        The scan runs with ``repair=False`` and a throwaway registry: the
-        per-shard ``LitmusSession.recover`` that follows owns the repair
-        and its reporting.
-        """
-        checkpoint = load_latest_checkpoint(shard_dir)
-        records, _report = scan_wal(
-            shard_dir, registry=MetricsRegistry(), repair=False
-        )
-        tip_seq, tip_digest = checkpoint.seq, checkpoint.digest
-        for record in records:
-            if record.seq > tip_seq:
-                tip_seq, tip_digest = record.seq, record.digest
-        return tip_seq > pre_seq and tip_digest != pre_digest
-
-    @staticmethod
-    def _tail_record_truncatable(shard_dir: str, pre_seq: int) -> bool:
-        """Can the record at ``pre_seq + 1`` be physically removed?
-
-        Only while it is the *last* durable record and no checkpoint has
-        consolidated it — then truncating the segment at its offset is
-        indistinguishable from the crash having happened one write
-        earlier, which per-shard recovery absorbs natively.
-        """
-        checkpoint = load_latest_checkpoint(shard_dir)
-        if checkpoint.seq > pre_seq:
-            return False
-        records, _report = scan_wal(
-            shard_dir, registry=MetricsRegistry(), repair=False
-        )
-        live = [r for r in records if r.seq > checkpoint.seq]
-        return bool(live) and live[-1].seq == pre_seq + 1
-
-    @staticmethod
-    def _truncate_tail_record(shard_dir: str, seq: int) -> None:
-        """Physically drop the WAL tail record with sequence *seq*."""
-        for path in reversed(list_segments(shard_dir)):
-            records, _intact, _status = segment_records(path)
-            target = next((r for r in records if r.seq == seq), None)
-            if target is None:
-                continue
-            with open(path, "r+b") as handle:
-                handle.truncate(target.offset)
-                handle.flush()
-                os.fsync(handle.fileno())
-            return
-        raise RecoveryError(
-            f"cannot undo cross-shard apply: record seq {seq} not found "
-            f"in {shard_dir!r}"
-        )
-
     def _roll_forward_round(
-        self, record, applied: dict, program_map: Mapping[str, Program]
+        self,
+        record: IntentRecord,
+        applied: Sequence[int],
+        program_map: Mapping[str, Program],
     ) -> None:
         """Re-apply a partially applied round on its missing participants."""
-        targets = sorted(
-            {
-                index
-                for txn in record.txns
-                for index in txn.shards
-                if not applied.get(index, False)
-            }
-        )
         for txn in record.txns:
-            base = program_map.get(txn.program)
+            # recover() extended program_map with every derivable companion
             apply_program = program_map.get(txn.program + APPLY_SUFFIX)
-            if apply_program is None and base is not None:
-                apply_program = derive_apply_program(base)
             if apply_program is None:
                 raise RecoveryError(
                     f"cannot roll forward cross-shard round "
@@ -744,15 +575,17 @@ class ShardedSession:
                     "supplied to recover()"
                 )
             for index in txn.shards:
-                if applied.get(index, False):
-                    continue
-                self.shards[index].submit_call(
-                    txn.user,
-                    apply_program,
-                    txn.params,
-                    txn_id=txn.txn_id,
-                    auto_flush=False,
-                )
+                if index not in applied:
+                    self.shards[index].submit_call(
+                        txn.user,
+                        apply_program,
+                        txn.params,
+                        txn_id=txn.txn_id,
+                        auto_flush=False,
+                    )
+        targets = sorted(
+            {i for txn in record.txns for i in txn.shards if i not in applied}
+        )
         results = self._parallel_flush(targets, None)
         rejected = sorted(i for i, r in results.items() if not r.accepted)
         if rejected:
@@ -1145,26 +978,9 @@ class ShardedSession:
         if not involved:
             return {}
         self.registry.counter("shard.flush_fanout").inc(len(involved))
-        results: dict[int, BatchResult] = {}
-        errors: dict[int, BaseException] = {}
-
-        def _flush_one(index: int) -> None:
-            try:
-                results[index] = self.shards[index].flush(deadline)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                errors[index] = exc
-
-        if len(involved) == 1:
-            _flush_one(involved[0])
-        else:
-            threads = [
-                threading.Thread(target=_flush_one, args=(i,), daemon=True)
-                for i in involved
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        results, errors = _fan_out(
+            lambda index: self.shards[index].flush(deadline), involved
+        )
         if errors:
             primary = errors[min(errors)]
             primary.shard_outcomes = dict(results)

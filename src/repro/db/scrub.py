@@ -38,7 +38,6 @@ primary is rebuilt from its mirror.
 from __future__ import annotations
 
 import os
-import re
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -52,7 +51,11 @@ from .wal.checkpoints import (
     list_checkpoints,
     mirror_path,
 )
-from .wal.intents import INTENT_JOURNAL_NAME, IntentJournal
+from .wal.intents import (
+    INTENT_JOURNAL_NAME,
+    IntentJournal,
+    list_shard_directories,
+)
 from .wal.records import STATUS_CLEAN
 from .wal.segments import list_segments, segment_records
 
@@ -62,8 +65,6 @@ __all__ = [
     "ScrubReport",
     "scrub_directory",
 ]
-
-_SHARD_DIR_RE = re.compile(r"^shard-(\d{2})$")
 
 QUARANTINE_SUFFIX = ".quarantined"
 
@@ -272,15 +273,7 @@ def scrub_directory(
     skip = frozenset(skip_paths)
     start = perf_counter()
     report = ScrubReport()
-    shard_dirs = []
-    try:
-        for name in sorted(fs.listdir(directory)):
-            full = os.path.join(directory, name)
-            if _SHARD_DIR_RE.match(name) and os.path.isdir(full):
-                shard_dirs.append(full)
-    except FileNotFoundError:
-        raise
-    targets = [directory] + shard_dirs
+    targets = [directory] + list_shard_directories(directory, fs)
     report.directories = tuple(targets)
     for target in targets:
         _scrub_checkpoints(

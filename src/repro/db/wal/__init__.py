@@ -47,6 +47,8 @@ from .intents import (
     IntentRecord,
     IntentScanReport,
     IntentTxn,
+    list_shard_directories,
+    shard_directory,
 )
 from .manager import DurabilityManager
 from .records import (
@@ -86,10 +88,12 @@ __all__ = [
     "encode_record",
     "list_checkpoints",
     "list_segments",
+    "list_shard_directories",
     "load_latest_checkpoint",
     "mirror_path",
     "scan_wal",
     "select_checkpoint",
     "segment_records",
+    "shard_directory",
     "write_checkpoint",
 ]

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 from ...errors import DurabilityError, WalError
@@ -50,14 +51,43 @@ __all__ = [
     "IntentRecord",
     "IntentScanReport",
     "IntentTxn",
+    "list_shard_directories",
+    "shard_directory",
 ]
 
 INTENT_JOURNAL_NAME = "xshard-intents.log"
+# The one definition of the per-shard directory naming: writers build paths
+# with shard_directory(), readers discover them with
+# list_shard_directories().
+_SHARD_DIR_RE = re.compile(r"^shard-(\d{2,})$")
 JOURNAL_MAGIC = b"LXI1"  # Litmus cross(X)-shard Intents v1
 
 STATE_PENDING = "pending"
 STATE_COMMITTED = "committed"
 STATE_ABORTED = "aborted"
+
+
+def shard_directory(parent: str, index: int) -> str:
+    """Shard *index*'s durability directory under the deployment's *parent*."""
+    return os.path.join(parent, f"shard-{index:02d}")
+
+
+def list_shard_directories(parent: str, fs: FileSystem | None = None) -> list[str]:
+    """Every ``shard-NN`` subdirectory of *parent*, in shard-index order.
+
+    An empty list means *parent* is not a sharded deployment — the test
+    recovery, the scrubber and the CLI all use to tell the two layouts
+    apart.  Contiguity is not checked here; recovery refuses a partial
+    keyspace, the scrubber audits whatever survives.
+    """
+    fs = fs if fs is not None else OS_FILESYSTEM
+    found = []
+    for name in fs.listdir(parent):
+        match = _SHARD_DIR_RE.match(name)
+        path = os.path.join(parent, name)
+        if match and os.path.isdir(path):
+            found.append((int(match.group(1)), path))
+    return [path for _index, path in sorted(found)]
 
 
 @dataclass(frozen=True)

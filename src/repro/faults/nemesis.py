@@ -51,7 +51,6 @@ Quickstart::
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from time import perf_counter
@@ -61,6 +60,7 @@ from ..core.config import LitmusConfig
 from ..core.session import DurabilityConfig, RetryPolicy
 from ..core.sharding import ShardMap, ShardedSession
 from ..crypto.rsa_group import RSAGroup
+from ..db.wal import shard_directory
 from ..errors import DurabilityError, ReproError, SimulatedCrash, WalError
 from ..obs.metrics import MetricsRegistry
 from ..vc.program import (
@@ -418,9 +418,7 @@ def run_nemesis(
                 "ckpt-rot": CheckpointRot,
             }[step.corruption]()
             try:
-                corruptor.apply(
-                    os.path.join(directory, f"shard-{step.shard:02d}")
-                )
+                corruptor.apply(shard_directory(directory, step.shard))
             except WalError:
                 pass  # nothing durable on that shard yet
         session = ShardedSession.recover(

@@ -269,6 +269,13 @@ class LitmusService:
             self._shutdown_done = True
         self._draining.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does (accept fails with EINVAL), so the
+            # join below returns at once instead of burning its timeout.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # platforms that refuse shutdown on a listener
             try:
                 self._listener.close()
             except OSError:

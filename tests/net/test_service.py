@@ -453,6 +453,17 @@ class TestGracefulShutdown:
         harness.service.shutdown()
         assert harness.service.draining
 
+    def test_idle_shutdown_wakes_the_acceptor_promptly(self, harness):
+        """Regression: closing the listener does not wake a blocked
+        ``accept()`` on Linux, so every shutdown used to burn the accept
+        thread's full 5 s join timeout."""
+        harness.start()
+        start = time.monotonic()
+        harness.service.shutdown()
+        elapsed = time.monotonic() - start
+        assert not harness.service._accept_thread.is_alive()
+        assert elapsed < 1.0, f"idle shutdown took {elapsed:.2f}s"
+
 
 class TestIdempotencyAndReaping:
     def test_duplicate_submit_op_dedups(self, harness):

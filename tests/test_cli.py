@@ -57,6 +57,36 @@ class TestFailurePaths:
         assert "recovery from" in captured.out and "failed" in captured.out
         assert "Traceback" not in captured.err + captured.out
 
+    def test_recover_sharded_directory_prints_every_shard(self, tmp_path, capsys):
+        """Regression: ``--recover`` always ran the unsharded recovery, so a
+        directory written by ``--serve --shards N`` failed with "no valid
+        checkpoint" (the parent holds only ``shard-NN/`` and the intent
+        journal) while ``--serve --data-dir`` recovered the same directory
+        fine."""
+        from repro.cli import _DEMO_CONFIG, _demo_transfer
+        from repro.core import DurabilityConfig, LitmusConfig, ShardedSession
+
+        directory = str(tmp_path / "sharded")
+        # what `--serve --shards 2 --data-dir DIR` builds
+        session = ShardedSession.create(
+            initial={("acct", i): 100 for i in range(8)},
+            config=LitmusConfig(**_DEMO_CONFIG),
+            num_shards=2,
+            durability=DurabilityConfig(directory=directory),
+        )
+        for src in range(4):
+            session.submit("u", _demo_transfer(), src=src, dst=src + 4, amount=5)
+        assert session.flush().accepted
+        session.close()
+
+        assert main(["--recover", directory]) == 0
+        out = capsys.readouterr().out
+        assert "(2 shards)" in out
+        for shard in (0, 1):
+            assert f"shard {shard} checkpoint" in out
+            assert f"shard {shard} digest" in out
+        assert "cross-shard:" in out and "0 in doubt" in out
+
     def test_serve_malformed_address_exits_2(self, capsys):
         assert main(["--serve", "not-an-address"]) == 2
         assert "host:port" in capsys.readouterr().err
