@@ -20,9 +20,9 @@ lesson): when an injected fsync fails, the bytes appended since the last
 *successful* fsync are physically thrown away — exactly what a kernel
 that drops dirty pages and clears the error bit does to you.  A caller
 that retried the fsync and believed its success would therefore lose
-acknowledged data; the WAL instead poisons the handle and raises
+acknowledged data; the logs instead poison the handle and raise
 :class:`~repro.errors.DurabilityError` (see
-:mod:`repro.db.wal.segments`).
+:mod:`repro.db.wal.appendlog`).
 
 Directives an injector's ``on_fs`` hook may return (see
 :mod:`repro.faults.disk`):
@@ -88,9 +88,9 @@ class FileHandle:
 class FileSystem:
     """The syscall surface of the durability stack.
 
-    ``mode`` for :meth:`open` is one of ``"xb"`` (exclusive create — WAL
-    segments), ``"ab"`` (append — intent journal), ``"wb"`` (create or
-    truncate — checkpoint temps).  Reads go through :meth:`read_bytes`;
+    ``mode`` for :meth:`open` is one of ``"xb"`` (exclusive create — a new
+    log file), ``"ab"`` (append — onto a scanned-and-repaired log file),
+    ``"wb"`` (create or truncate — checkpoint temps).  Reads go through :meth:`read_bytes`;
     the durability code never holds a read handle open.
     """
 

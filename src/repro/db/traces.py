@@ -10,11 +10,12 @@ interleaving hints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ConcurrencyError
+
+if TYPE_CHECKING:  # networkx is imported where a graph is built, not at load
+    import networkx as nx
 
 __all__ = ["DependencyEdge", "RuntimeTraces"]
 
@@ -50,6 +51,8 @@ class RuntimeTraces:
         self.batches.append(tuple(txn_ids))
 
     def dependency_graph(self, txn_ids: Iterable[int]) -> "nx.DiGraph":
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(txn_ids)
         for edge in self.edges:
@@ -63,6 +66,8 @@ class RuntimeTraces:
         Ties are broken by transaction id so the order is deterministic —
         the client must be able to reproduce it (Section 7.1).
         """
+        import networkx as nx
+
         graph = self.dependency_graph(list(txn_ids))
         try:
             return list(nx.lexicographical_topological_sort(graph))
@@ -72,4 +77,6 @@ class RuntimeTraces:
             ) from exc
 
     def is_acyclic(self, txn_ids: Iterable[int]) -> bool:
+        import networkx as nx
+
         return nx.is_directed_acyclic_graph(self.dependency_graph(list(txn_ids)))

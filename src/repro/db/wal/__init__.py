@@ -10,6 +10,9 @@ was untested.  This package is the missing persistence spine:
 - :mod:`~repro.db.wal.records` — CRC32-framed, length-prefixed records,
   each journaling one *client-verified* batch as ``(sequence, verified
   digest, LCL1 command log)``;
+- :mod:`~repro.db.wal.appendlog` — the one appender both logs hold: opens a
+  log file, tracks the last byte that finished writing, rescues a failed
+  write in a clean place and poisons on a failed fsync;
 - :mod:`~repro.db.wal.segments` — append-only segment files with rotation,
   a three-way fsync policy (``always`` / ``batch`` / ``never``), and a
   scan/repair reader that truncates torn or rotted tails instead of

@@ -50,7 +50,6 @@ from ...errors import CheckpointError, ReproError
 from ...obs.metrics import MetricsRegistry, get_metrics
 from ...serialization import encode
 from ..fsio import OS_FILESYSTEM, FileSystem
-from .segments import _fsync_directory
 
 __all__ = [
     "Checkpoint",
@@ -171,7 +170,7 @@ def _write_atomic(
             handle.fsync()
     fs.replace(temp, final)
     if fsync:
-        _fsync_directory(directory, fs)
+        fs.fsync_dir(directory)
 
 
 def write_checkpoint(
@@ -232,7 +231,7 @@ def write_checkpoint(
         on_stage("after-checkpoint-temp")
     fs.replace(temp, final)
     if fsync:
-        _fsync_directory(directory, fs)
+        fs.fsync_dir(directory)
     if on_stage is not None:
         on_stage("after-checkpoint")
     # The mirror: byte-identical redundancy against at-rest rot, published

@@ -29,7 +29,13 @@ Like the WAL, the scan never raises on damaged bytes: a torn or corrupt
 tail is truncated away (``repair=True``) and reported, never an exception.
 A record the coordinator crashed while writing is simply a round that
 never started — no shard can hold its writes, because the durable intent
-strictly precedes the fan-out.
+strictly precedes the fan-out.  That argument needs damage to be a *tail*:
+a torn frame left mid-file would take every later intent with it when the
+scan truncates.  So the appender (:class:`~repro.db.wal.appendlog.AppendLog`,
+shared with the WAL segments) never appends after bytes that did not
+finish writing — a failed write is rewound to the last finished byte and
+re-attempted once, a second failure or a failed fsync poisons the journal
+— and callers only ever see :class:`~repro.errors.DurabilityError`.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from dataclasses import dataclass, field
 from ...errors import DurabilityError, WalError
 from ...obs.metrics import MetricsRegistry, get_metrics
 from ..fsio import OS_FILESYSTEM, FileSystem
+from .appendlog import AppendLog, repair_tail
 from .records import STATUS_CLEAN, decode_frames, encode_frame
-from .segments import _fsync_directory
 
 __all__ = [
     "INTENT_JOURNAL_NAME",
@@ -210,10 +216,8 @@ class IntentJournal:
             raise WalError("an intent journal needs a positive shard count")
         self.path = path
         self.num_shards = num_shards
-        self.fsync = fsync
         self.registry = registry if registry is not None else get_metrics()
         self.fs = fs if fs is not None else OS_FILESYSTEM
-        self._poisoned: DurabilityError | None = None
         # Reopening after a crash: truncate any torn/corrupt tail first so
         # appends never land after damaged bytes, then continue the round
         # id sequence past everything already journaled.
@@ -222,12 +226,18 @@ class IntentJournal:
         self._pending: set[int] = {
             r.round_id for r in records if r.state == STATE_PENDING
         }
-        fresh = not self.fs.exists(path)
-        self._file = self.fs.open(path, "ab")
-        if fresh:
-            self._file.write(JOURNAL_MAGIC)
-            self._flush()
-            _fsync_directory(os.path.dirname(path) or ".", self.fs)
+        # A failed write is rescued in place (AppendLog's default): the one
+        # file is truncated back to its last finished byte and reopened.
+        self._log = AppendLog(self.fs, self.registry, fsync=fsync)
+        try:
+            if self.fs.exists(path):
+                self._log.reopen(path, self.fs.getsize(path))
+            else:
+                self._log.create(path, JOURNAL_MAGIC)
+        except OSError as exc:
+            raise DurabilityError(
+                f"cannot open intent journal {path}: {exc}", op="write", path=path
+            ) from exc
 
     # -- appending ---------------------------------------------------------------
 
@@ -277,47 +287,17 @@ class IntentJournal:
         return tuple(sorted(self._pending))
 
     def close(self) -> None:
-        if self._file is not None:
-            self._flush()
-            self._file.close()
-            self._file = None
+        if self._log.poisoned is None:
+            self._log.sync()
+        self._log.close()
 
     def _append(self, payload: bytes) -> None:
-        if self._poisoned is not None:
-            raise DurabilityError(
-                f"intent journal is poisoned by an earlier durability "
-                f"failure: {self._poisoned}",
-                op=self._poisoned.op,
-                path=self.path,
-            )
-        if self._file is None:
-            raise WalError("intent journal is closed")
-        self._file.write(encode_frame(payload))
-        self._flush()
-
-    def _flush(self) -> None:
-        self._file.flush()
-        if self.fsync:
-            try:
-                self._file.fsync()
-            except OSError as exc:
-                # fsyncgate, journal edition: the unsynced tail can no
-                # longer be trusted.  Poison the journal — the coordinator
-                # must abandon the deployment and recover, which truncates
-                # the untrusted tail and re-resolves any in-doubt round.
-                self.registry.counter("storage.fsync_failures").inc()
-                error = DurabilityError(
-                    f"fsync failed on intent journal {self.path}: {exc}",
-                    op="fsync",
-                    path=self.path,
-                )
-                self._poisoned = error
-                try:
-                    self._file.close()
-                except OSError:  # pragma: no cover - close errors are moot
-                    pass
-                self._file = None
-                raise error from exc
+        """One frame, durable before this returns — or a typed
+        :class:`~repro.errors.DurabilityError` and a poisoned journal: the
+        coordinator must abandon the deployment and recover, which
+        truncates the untrusted tail and re-resolves any in-doubt round."""
+        self._log.write(encode_frame(payload))
+        self._log.sync()
 
     # -- scanning ----------------------------------------------------------------
 
@@ -339,14 +319,13 @@ class IntentJournal:
         except FileNotFoundError:
             return [], report
         if data[: len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
-            # A foreign or mangled header: nothing is trustworthy.
-            report.status = "corrupt"
-            report.truncated_bytes = len(data)
-            report.details.append("journal magic missing; discarded entirely")
-            if repair:
-                fs.unlink(path)
-            return [], report
-        frames, intact, status = decode_frames(data, offset=len(JOURNAL_MAGIC))
+            # A foreign or mangled header: nothing is trustworthy, so the
+            # intact prefix is empty and the repair discards the file.
+            frames, intact, status = [], 0, "corrupt"
+        else:
+            frames, intact, status = decode_frames(
+                data, offset=len(JOURNAL_MAGIC)
+            )
         rounds: dict[int, IntentRecord] = {}
         for frame_offset, payload in frames:
             body = _decode_payload(payload)
@@ -392,8 +371,8 @@ class IntentJournal:
                 f"{intact} (was {len(data)})"
             )
             if repair:
-                fs.truncate(path, intact)
-                _fsync_directory(os.path.dirname(path) or ".", fs)
+                repair_tail(path, intact, fs)
+                fs.fsync_dir(os.path.dirname(path) or ".")
         records = [rounds[k] for k in sorted(rounds)]
         report.records = len(records)
         report.pending = sum(1 for r in records if r.state == STATE_PENDING)

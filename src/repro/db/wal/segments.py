@@ -7,22 +7,11 @@ records (:mod:`repro.db.wal.records`).  :class:`WriteAheadLog` appends;
 truncating a torn or corrupt suffix in place instead of raising, which is
 what lets ``LitmusSession.recover`` absorb a crash mid-write.
 
-All I/O goes through a :class:`~repro.db.fsio.FileSystem`, so a seeded
-:class:`~repro.db.fsio.FaultyFileSystem` can make the disk itself
-misbehave.  The failure semantics are fsyncgate-correct:
-
-- a failed **write** never acknowledged anything, so the record is
-  re-attempted once, whole, in a freshly rotated segment (the torn bytes
-  in the abandoned segment are repaired by the next scan).  If the rescue
-  rotation also fails the log raises :class:`~repro.errors.DurabilityError`
-  — ENOSPC is "rotate or fail", never "pretend";
-- a failed **fsync** permanently poisons the log: the kernel may have
-  dropped the dirty pages and cleared the error, so retrying the fsync
-  and trusting its success would acknowledge bytes that are gone.  The
-  in-flight append raises :class:`~repro.errors.DurabilityError` (before
-  any ticket resolves — see ``LitmusSession._finish_accepted``) and every
-  later append re-raises it.  Recovery treats the never-synced tail as
-  untrusted: it is torn/corrupt to the scanner and truncated away.
+All I/O goes through a :class:`~repro.db.fsio.FileSystem`, and the active
+segment is an :class:`~repro.db.wal.appendlog.AppendLog`, which owns the
+fsyncgate-correct failure semantics (a failed write is re-attempted once,
+whole — here in a freshly rotated segment; a failed fsync poisons the log
+for good).
 
 fsync policy (the durability/throughput dial):
 
@@ -36,8 +25,9 @@ fsync policy (the durability/throughput dial):
 
 Metrics: ``wal.records``, ``wal.bytes``, ``wal.fsyncs``, ``wal.rotations``
 (counters) on every writer; ``wal.torn_tail_truncated`` when a scan had to
-repair a tail; ``storage.write_errors`` / ``storage.rescue_rotations`` /
-``storage.fsync_failures`` when the disk misbehaved underneath.
+repair a tail; ``storage.rescue_rotations`` when a failed write moved the
+log to a fresh segment (the disk-failure counters themselves are
+:mod:`~repro.db.wal.appendlog`'s).
 """
 
 from __future__ import annotations
@@ -46,9 +36,10 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from ...errors import DurabilityError, WalError
+from ...errors import WalError
 from ...obs.metrics import MetricsRegistry, get_metrics
 from ..fsio import OS_FILESYSTEM, FileSystem
+from .appendlog import AppendLog, repair_tail
 from .records import (
     STATUS_CLEAN,
     WalRecord,
@@ -92,11 +83,6 @@ def list_segments(directory: str, fs: FileSystem | None = None) -> list[str]:
     return [path for _index, path in sorted(found)]
 
 
-def _fsync_directory(directory: str, fs: FileSystem | None = None) -> None:
-    """Make a rename/create/unlink in *directory* itself durable (POSIX)."""
-    (fs if fs is not None else OS_FILESYSTEM).fsync_dir(directory)
-
-
 class WriteAheadLog:
     """Appender over a directory of rotated, CRC-framed segment files."""
 
@@ -131,11 +117,13 @@ class WriteAheadLog:
             if existing
             else 1
         )
-        self._file = None
-        self._size = 0
-        self._unsynced = 0
-        self._poisoned: DurabilityError | None = None
-        self._open_segment()
+        self._log = AppendLog(
+            self.fs,
+            self.registry,
+            fsync=fsync != "never",
+            relocate=self._next_segment,
+        )
+        self._start_segment()
 
     # -- appending ---------------------------------------------------------------
 
@@ -144,31 +132,20 @@ class WriteAheadLog:
 
         Raises :class:`~repro.errors.DurabilityError` when the disk could
         not honestly take the record — and never acknowledges via a lying
-        fsync (see the module docstring for the exact failure semantics).
+        fsync (see :mod:`repro.db.wal.appendlog` for the exact failure
+        semantics).
         """
-        self._check_poisoned()
         record = encode_record(seq, digest, command_log)
-        try:
-            if (
-                self._size + len(record) > self.segment_max_bytes
-                and self._size > len(SEGMENT_MAGIC)
-            ):
-                self.rotate()
-            self._file.write(record)
-            self._file.flush()
-        except OSError as exc:
-            # The write failed (EIO / ENOSPC / short write).  Nothing was
-            # acknowledged, so retrying the whole record in a fresh segment
-            # is honest; the abandoned segment's torn tail is repaired by
-            # the next scan.  Only if the rescue rotation fails too does
-            # the log give up.
-            self.registry.counter("storage.write_errors").inc()
-            self._rescue_rotate(record, exc)
-        self._size += len(record)
+        size = self._log.finished
+        full = (
+            size + len(record) > self.segment_max_bytes
+            and size > len(SEGMENT_MAGIC)
+        )
+        self._log.write(record, prepare=self.rotate if full else None)
         self.registry.counter("wal.records").inc()
         self.registry.counter("wal.bytes").inc(len(record))
         if self.fsync == "always":
-            self._fsync_file()
+            self._fsync()
         elif self.fsync == "batch":
             self._unsynced += 1
             if self._unsynced >= self.sync_every:
@@ -176,15 +153,14 @@ class WriteAheadLog:
 
     def sync(self) -> None:
         """Force everything appended so far onto stable storage."""
-        self._check_poisoned()
-        if self._file is not None and self.fsync != "never":
-            self._fsync_file()
+        self._fsync()
 
     def rotate(self) -> None:
         """Seal the active segment and start the next one."""
-        self._close_segment()
+        self.sync()
+        self._log.close()
         self._index += 1
-        self._open_segment()
+        self._start_segment()
         self.registry.counter("wal.rotations").inc()
 
     def reset(self) -> None:
@@ -197,22 +173,21 @@ class WriteAheadLog:
         leaves stale segments whose records recovery skips by sequence
         number.
         """
-        current = os.path.join(self.directory, _segment_name(self._index))
+        current = self.active_segment
         self.rotate()
         for path in list_segments(self.directory, self.fs):
-            if path != os.path.join(self.directory, _segment_name(self._index)):
+            if path != self.active_segment:
                 self.fs.unlink(path)
         if self.fsync != "never":
-            _fsync_directory(self.directory, self.fs)
+            self.fs.fsync_dir(self.directory)
         # The pre-reset segment must be gone; guard against name races.
         if self.fs.exists(current):  # pragma: no cover - defensive
             raise WalError(f"failed to retire WAL segment {current}")
 
     def close(self) -> None:
-        if self._poisoned is not None:
-            self._abandon_segment()
-            return
-        self._close_segment()
+        if not self.poisoned:
+            self.sync()
+        self._log.close()
 
     # -- internals ---------------------------------------------------------------
 
@@ -223,91 +198,29 @@ class WriteAheadLog:
     @property
     def poisoned(self) -> bool:
         """True once a failed fsync (or failed rescue) killed this log."""
-        return self._poisoned is not None
+        return self._log.poisoned is not None
 
-    def _check_poisoned(self) -> None:
-        if self._poisoned is not None:
-            raise DurabilityError(
-                f"WAL is poisoned by an earlier durability failure: "
-                f"{self._poisoned}",
-                op=self._poisoned.op,
-                path=self._poisoned.path,
-            )
+    def _start_segment(self) -> None:
+        self._log.create(self.active_segment, SEGMENT_MAGIC)
+        self._unsynced = 0
+        if self._log.fsync:  # create() fsynced the magic
+            self.registry.counter("wal.fsyncs").inc()
 
-    def _poison(self, error: DurabilityError) -> None:
-        self._poisoned = error
-        self._abandon_segment()
-
-    def _abandon_segment(self) -> None:
-        """Drop the handle without trusting it (no fsync, errors ignored)."""
-        if self._file is None:
-            return
-        try:
-            self._file.close()
-        except OSError:  # pragma: no cover - close errors are moot here
-            pass
-        self._file = None
-
-    def _rescue_rotate(self, record: bytes, cause: OSError) -> None:
-        """Re-attempt a failed append, whole, in a fresh segment."""
-        self._abandon_segment()
+    def _next_segment(self) -> None:
+        """Where a failed append is re-attempted: the next segment index
+        (scan_wal repairs the abandoned segment's tail and keeps this one
+        because its first record resumes the sequence chain)."""
         self._index += 1
-        try:
-            self._open_segment()
-            self._file.write(record)
-            self._file.flush()
-        except OSError as exc:
-            error = DurabilityError(
-                f"WAL append failed ({cause}) and the rescue rotation "
-                f"failed too ({exc}); no segment can take the record",
-                op="write",
-                path=self.active_segment,
-            )
-            self._poison(error)
-            raise error from exc
-        # The rescue segment starts fresh: its magic + this record are the
-        # only unsynced bytes; _size is re-based by _open_segment.
-        self._size = len(SEGMENT_MAGIC)
+        self._start_segment()
         self.registry.counter("storage.rescue_rotations").inc()
         self.registry.counter("wal.rotations").inc()
 
-    def _open_segment(self) -> None:
-        path = self.active_segment
-        self._file = self.fs.open(path, "xb")
-        self._file.write(SEGMENT_MAGIC)
-        self._file.flush()
-        self._size = len(SEGMENT_MAGIC)
-        self._unsynced = 0
-        if self.fsync != "never":
-            self._fsync_file()
-            _fsync_directory(self.directory, self.fs)
-
-    def _close_segment(self) -> None:
-        if self._file is None:
-            return
-        self.sync()
-        self._file.close()
-        self._file = None
-
-    def _fsync_file(self) -> None:
-        try:
-            self._file.fsync()
-        except OSError as exc:
-            # fsyncgate: the kernel may have dropped the dirty pages and
-            # cleared the error — a second fsync would "succeed" without
-            # the bytes ever reaching the platter.  Poison the log; the
-            # unsynced tail is untrusted and recovery truncates it.
-            self.registry.counter("storage.fsync_failures").inc()
-            error = DurabilityError(
-                f"fsync failed on {self._file.path}: {exc}; the segment is "
-                "poisoned and its unsynced tail must not be trusted",
-                op="fsync",
-                path=self._file.path,
-            )
-            self._poison(error)
-            raise error from exc
-        self._unsynced = 0
-        self.registry.counter("wal.fsyncs").inc()
+    def _fsync(self) -> None:
+        # append() comes here, not through sync(): sync() is the explicit
+        # barrier (rotate / checkpoint / close / the batch window).
+        if self._log.sync():
+            self._unsynced = 0
+            self.registry.counter("wal.fsyncs").inc()
 
 
 @dataclass
@@ -412,14 +325,11 @@ def scan_wal(
             f"{intact} (was {size})"
         )
         if repair:
-            if intact == 0:
-                fs.unlink(path)
-            else:
-                fs.truncate(path, intact)
+            repair_tail(path, intact, fs)
             repaired_any = True
         registry.counter("wal.torn_tail_truncated").inc()
         damaged = True
     if repair and repaired_any:
-        _fsync_directory(directory, fs)
+        fs.fsync_dir(directory)
     report.records = len(records)
     return records, report

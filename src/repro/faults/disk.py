@@ -16,8 +16,8 @@ one-shot fault, ``times=None`` a sticky one (every matching operation
 fails until the injector is removed — the shape of a dying device).
 
 What the durability layer guarantees under each fault is tabulated in
-DESIGN.md §17; the short version: writes may be retried in a fresh
-segment (nothing was acknowledged), failed fsyncs may not be retried at
+DESIGN.md §17; the short version: writes may be retried once in a clean
+place (nothing was acknowledged), failed fsyncs may not be retried at
 all (fsyncgate), and silent rot is caught by CRC/checksum at the next
 read — never trusted.
 """

@@ -17,7 +17,8 @@ compositions deterministically:
   never on acked history, which recovery must preserve bit-for-bit.
   With ``disk_fault_fraction > 0`` schedules also carry **disk-fault**
   steps — failed fsyncs, EIO/ENOSPC writes, short writes aimed at one
-  shard's WAL (:mod:`repro.faults.disk`) — and crash steps may pair with
+  shard's WAL or at the coordinator's intent journal
+  (:mod:`repro.faults.disk`) — and crash steps may pair with
   ``"ckpt-rot"`` at-rest checkpoint damage the mirror must cover;
 - :func:`run_nemesis` — drive a durable :class:`~repro.core.sharding.
   ShardedSession` through a schedule, recovering from every crash (and
@@ -119,15 +120,21 @@ NEMESIS_CONFIG = LitmusConfig(
 
 _CORRUPTIONS = ("", "torn", "bitrot")
 
-# The disk misbehaviors a "disk-fault" step can name; all target the WAL
-# segment files of one shard.  "fsync-failure" downs the deployment
-# (fsyncgate: the engine poisons itself), the write-error trio is
-# absorbed in-band by a rescue rotation.
+# The disk misbehaviors a "disk-fault" step can name.  The first four target
+# the WAL segment files of one shard, the ``journal-`` four the coordinator's
+# cross-shard intent journal (whose filesystem view carries no shard tag, so
+# the step's shard is ignored).  On either log an fsync failure downs the
+# deployment (fsyncgate: the log poisons itself) and the write-error trio is
+# absorbed in-band by the append log's rescue.
 _DISK_FAULTS = {
     "fsync-failure": lambda shard: FsyncFailure(shard=shard, path_contains="wal-"),
     "write-eio": lambda shard: WriteError(shard=shard, path_contains="wal-"),
     "enospc": lambda shard: DiskFull(shard=shard, path_contains="wal-"),
     "short-write": lambda shard: ShortWrite(shard=shard, path_contains="wal-"),
+    "journal-fsync-failure": lambda shard: FsyncFailure(path_contains="intents"),
+    "journal-write-eio": lambda shard: WriteError(path_contains="intents"),
+    "journal-enospc": lambda shard: DiskFull(path_contains="intents"),
+    "journal-short-write": lambda shard: ShortWrite(path_contains="intents"),
 }
 
 

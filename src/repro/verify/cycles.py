@@ -16,11 +16,13 @@ anomalies Elle reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import ReproError
 from .history import History
+
+if TYPE_CHECKING:  # networkx is imported where a graph is built, not at load
+    import networkx as nx
 
 __all__ = ["Anomaly", "DependencyAnalysis", "analyze"]
 
@@ -55,6 +57,8 @@ def _version_order(history: History, key: tuple) -> dict[int, int]:
 
 def analyze(history: History) -> DependencyAnalysis:
     """Infer dependencies and detect serializability anomalies."""
+    import networkx as nx
+
     graph = nx.DiGraph()
     edge_kinds: dict[tuple[int, int], set[str]] = {}
     writer_of: dict[tuple[tuple, int], int] = {}

@@ -20,11 +20,12 @@ landscape the paper evaluates against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ReproError
+
+if TYPE_CHECKING:  # networkx is imported where a graph is built, not at load
+    import networkx as nx
 
 __all__ = ["RWTxn", "RWHistory", "PolygraphResult", "check_serializable"]
 
@@ -81,6 +82,8 @@ class PolygraphResult:
 
 def _build_polygraph(history: RWHistory):
     """Known edges + choice constraints from read-from relationships."""
+    import networkx as nx
+
     writer_of_value: dict[tuple[tuple, int], int] = {}
     writers_of_key: dict[tuple, list[int]] = {}
     for txn in history.txns:
@@ -124,6 +127,8 @@ def _build_polygraph(history: RWHistory):
 
 def _search(graph: nx.DiGraph, constraints: list[tuple[int, int, int]], depth: int):
     """Backtracking over unresolved constraints with cycle pruning."""
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(graph):
         return None
     # Drop constraints already satisfied; propagate forced choices.

@@ -22,8 +22,15 @@ from repro.core import (
 )
 from repro.core.sharding import ShardMap
 from repro.db.wal import INTENT_JOURNAL_NAME, IntentJournal
-from repro.errors import RecoveryError, SimulatedCrash
-from repro.faults import CorruptProofPiece, CrashPoint, FaultPlan
+from repro.errors import DurabilityError, RecoveryError, SimulatedCrash
+from repro.faults import (
+    CorruptProofPiece,
+    CrashPoint,
+    FaultPlan,
+    FsyncFailure,
+    ShortWrite,
+    WriteError,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.vc.program import (
     Add,
@@ -306,3 +313,151 @@ class TestInDoubtRecovery:
                 directory, [TRANSFER], group=group, registry=MetricsRegistry()
             )
         assert "shard-01" in str(excinfo.value)
+
+
+class TestJournalWriteFault:
+    def test_short_journal_write_then_crash_keeps_the_round_in_doubt(
+        self, group, tmp_path
+    ):
+        """A torn intent frame must never sit *in front of* a later intent.
+
+        One short write on the journal, then a shard crash mid cross-round.
+        The journal used to leak a raw ``OSError`` and leave the torn frame
+        mid-file; the crashed round's intent was then appended behind it,
+        truncated away by the recovery scan as a "corrupt tail", and the
+        deployment came back with half a transfer applied (sum 1605).
+        """
+        directory = str(tmp_path / "torn-journal")
+        src, dst = _cross_pair(3)
+        target = ShardMap(3).shard_of(("acct", src))
+        registry = MetricsRegistry()
+        plan = FaultPlan().bind_registry(registry)
+        session = ShardedSession.create(
+            initial=_initial(), config=CONFIG, num_shards=3, group=group,
+            registry=registry, fault_plan=plan,
+            durability=DurabilityConfig(directory=directory),
+        )
+        plan.injectors.append(ShortWrite(path_contains="intents", times=1))
+        first = session.submit("u", TRANSFER, src=src, dst=dst, amount=5)
+        assert session.flush().accepted and first.accepted  # write absorbed
+        assert registry.counter("storage.write_errors").value == 1
+        plan.injectors.append(CrashPoint("before-log", shard=target))
+        session.submit("u", TRANSFER, src=src, dst=dst, amount=5)
+        with pytest.raises(SimulatedCrash):
+            session.flush()
+        _abandon(session)
+
+        recovered = ShardedSession.recover(
+            directory, [TRANSFER], group=group, registry=MetricsRegistry()
+        )
+        try:
+            report = recovered.xshard_report
+            assert report.rounds == 2 and report.in_doubt == 1
+            assert report.aborted == 1 and report.truncated_records == 1
+            assert _read(recovered, src) == 95 and _read(recovered, dst) == 105
+            assert _balance(recovered) == NUM_ACCOUNTS * 100
+            assert recovered._intents.pending_rounds == ()
+        finally:
+            recovered.close()
+
+
+class TestRouterJournalContract:
+    """What ``_run_cross_round`` may rely on when the journal's disk fails:
+    only a typed :class:`DurabilityError`, at a point that keeps the round
+    atomic — never started, or in doubt with every participant applied."""
+
+    def _session(self, group, directory):
+        registry = MetricsRegistry()
+        plan = FaultPlan().bind_registry(registry)
+        session = ShardedSession.create(
+            initial=_initial(), config=CONFIG, num_shards=3, group=group,
+            registry=registry, fault_plan=plan,
+            durability=DurabilityConfig(directory=directory),
+        )
+        return session, plan
+
+    def test_create_raises_typed_error_when_the_journal_cannot_be_made(
+        self, group, tmp_path
+    ):
+        plan = FaultPlan(WriteError(path_contains="intents"))
+        with pytest.raises(DurabilityError) as excinfo:
+            ShardedSession.create(
+                initial=_initial(), config=CONFIG, num_shards=3, group=group,
+                registry=MetricsRegistry(), fault_plan=plan,
+                durability=DurabilityConfig(directory=str(tmp_path / "nojournal")),
+            )
+        assert excinfo.value.op == "write"
+
+    @pytest.mark.parametrize(
+        "fault, op",
+        [
+            (lambda: FsyncFailure(path_contains="intents"), "fsync"),
+            (lambda: WriteError(path_contains="intents", times=2), "write"),
+        ],
+        ids=["fsync", "double-write"],
+    )
+    def test_failed_intent_means_the_round_never_started(
+        self, group, tmp_path, fault, op
+    ):
+        directory = str(tmp_path / "no-intent")
+        session, plan = self._session(group, directory)
+        src, dst = _cross_pair(3)
+        seqs_before = [shard._batch_seq for shard in session.shards]
+        plan.injectors.append(fault())
+        ticket = session.submit("u", TRANSFER, src=src, dst=dst, amount=5)
+        with pytest.raises(DurabilityError) as excinfo:
+            session.flush()
+        assert excinfo.value.op == op
+        # raised before any submit_call reached a shard: nothing queued,
+        # nothing journaled, the caller's ticket still open
+        assert not ticket.resolved
+        assert [shard.queued for shard in session.shards] == [0, 0, 0]
+        assert [shard._batch_seq for shard in session.shards] == seqs_before
+        _abandon(session)
+
+        recovered = ShardedSession.recover(
+            directory, [TRANSFER], group=group, registry=MetricsRegistry()
+        )
+        try:
+            assert recovered.xshard_report.rounds == 0
+            assert all(_read(recovered, i) == 100 for i in range(NUM_ACCOUNTS))
+            assert [s.recovery_report.last_seq for s in recovered.shards] == seqs_before
+        finally:
+            recovered.close()
+
+    def test_failed_resolution_leaves_an_applied_round_in_doubt(
+        self, group, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "no-resolution")
+        session, plan = self._session(group, directory)
+        src, dst = _cross_pair(3)
+        log_intent = session._intents.log_intent
+
+        def log_intent_then_arm(*args, **kwargs):
+            record = log_intent(*args, **kwargs)
+            plan.injectors.append(FsyncFailure(path_contains="intents"))
+            return record
+
+        monkeypatch.setattr(session._intents, "log_intent", log_intent_then_arm)
+        ticket = session.submit("u", TRANSFER, src=src, dst=dst, amount=5)
+        with pytest.raises(DurabilityError) as excinfo:
+            session.flush()
+        assert excinfo.value.op == "fsync"
+        # the fan-out had finished: the ticket is acknowledged, not rejected,
+        # and the round stays pending for recovery to judge
+        assert ticket.resolved and ticket.accepted
+        assert len(session._intents.pending_rounds) == 1
+        _abandon(session)
+
+        recovered = ShardedSession.recover(
+            directory, [TRANSFER], group=group, registry=MetricsRegistry()
+        )
+        try:
+            report = recovered.xshard_report
+            assert report.rounds == 1 and report.in_doubt == 1
+            assert report.committed == 1 and report.aborted == 0
+            assert _read(recovered, src) == 95 and _read(recovered, dst) == 105
+            assert _balance(recovered) == NUM_ACCOUNTS * 100
+            assert recovered._intents.pending_rounds == ()
+        finally:
+            recovered.close()

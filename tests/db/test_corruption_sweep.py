@@ -22,6 +22,11 @@ Both assert the same four invariants after corrupting one byte:
 3. every recovered record is byte-identical to what was appended;
 4. the repair converges: a second scan is clean, returns the same
    records, and the directory accepts new appends that chain on.
+
+The intent journal makes the same promise about its one file, so the
+exhaustive sweep also flips — and cuts the file at — every byte position
+of a pristine ``xshard-intents.log``: the scan never raises and what
+survives is what some frame-prefix of the journal says, nothing else.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import shutil
 
 import pytest
 
-from repro.db.wal import WriteAheadLog, scan_wal
+from repro.db.wal import IntentJournal, IntentTxn, WriteAheadLog, scan_wal
 from repro.obs.metrics import MetricsRegistry
 
 PAYLOADS = {
@@ -134,3 +139,72 @@ def test_hypothesis_sweep(pristine_log, tmp_path):
         shutil.rmtree(victim)
 
     sweep()
+
+
+# -- the intent journal's one file ---------------------------------------------
+
+# (round, resolution) in append order; None leaves the round pending.
+JOURNAL_ROUNDS = [(0, "committed"), (1, "aborted"), (2, "committed"), (3, None)]
+
+
+def _journal_txn(round_id: int) -> IntentTxn:
+    return IntentTxn(
+        txn_id=round_id,
+        user="alice",
+        program="transfer",
+        params={"src": round_id, "dst": round_id + 1, "__w0": 95},
+        shards=(0, 1),
+    )
+
+
+@pytest.fixture(scope="module")
+def pristine_journal(tmp_path_factory):
+    """A sealed journal plus every state a frame-prefix of it can mean."""
+    path = str(tmp_path_factory.mktemp("journal") / "xshard-intents.log")
+    journal = IntentJournal(path, num_shards=2)
+    prefixes = [[]]  # after 0 frames, 1 frame, ...: [(round, state), ...]
+    for round_id, resolution in JOURNAL_ROUNDS:
+        assert journal.begin_round() == round_id
+        journal.log_intent(
+            round_id, (_journal_txn(round_id),), (0, 1), {0: 0, 1: 0}, {0: 1, 1: 2}
+        )
+        prefixes.append(prefixes[-1] + [(round_id, "pending")])
+        if resolution is not None:
+            journal.log_resolution(round_id, resolution)
+            prefixes.append(prefixes[-1][:-1] + [(round_id, resolution)])
+    journal.close()
+    return path, prefixes
+
+
+def _check_journal_invariants(path: str, prefixes: list) -> None:
+    records, _report = IntentJournal.scan(path, repair=True)
+    assert [(r.round_id, r.state) for r in records] in prefixes
+    for record in records:
+        assert record.txns == (_journal_txn(record.round_id),)
+    again, clean = IntentJournal.scan(path, repair=True)
+    assert again == records and clean.status == "clean"
+    # The healed journal is appendable and round ids carry on.
+    journal = IntentJournal(path, num_shards=2)
+    next_round = journal.begin_round()
+    assert next_round == len(records)
+    journal.log_intent(
+        next_round, (_journal_txn(next_round),), (0, 1), {0: 0, 1: 0}, {0: 1, 1: 2}
+    )
+    journal.close()
+    resumed, _ = IntentJournal.scan(path, repair=False)
+    assert [r.round_id for r in resumed] == list(range(next_round + 1))
+
+
+@pytest.mark.diskfault
+def test_every_journal_position_flipped_or_cut(pristine_journal, tmp_path):
+    source, prefixes = pristine_journal
+    total = os.path.getsize(source)
+    assert len(prefixes) == 8 and total > 500
+    victim = str(tmp_path / "xshard-intents.log")
+    for position in range(total):
+        shutil.copyfile(source, victim)
+        _flip_byte(str(tmp_path), position, 0x40)
+        _check_journal_invariants(victim, prefixes)
+        shutil.copyfile(source, victim)
+        os.truncate(victim, position)
+        _check_journal_invariants(victim, prefixes)

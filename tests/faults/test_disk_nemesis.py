@@ -6,6 +6,9 @@ rot with the crash/fault steps PR 9 introduced.  The referee's promise
 is unchanged and now harder: **zero acked-data loss** even when a WAL
 write tears, an fsync lies, or a checkpoint rots at rest — absorbed
 faults stay invisible, fsync failures force a full down-and-recover.
+The same faults are also aimed at the coordinator's intent journal
+(``journal-*`` kinds), where a torn frame left in front of a later intent
+would hide an in-doubt round from recovery.
 
 The quick tests run in tier-1; the wider seed sweep is ``diskfault``
 marked (its own CI job: ``pytest -m diskfault``).
@@ -130,6 +133,57 @@ class TestRunDiskNemesis:
         assert registry.counter("storage.rescue_rotations").value >= 1
 
 
+class TestJournalFaults:
+    def test_torn_journal_write_then_crash_stays_atomic(self, group, tmp_path):
+        """The schedule chaos never generated while every disk injector was
+        pinned to ``wal-``: a short write on the journal, then a shard
+        killed before it logs a cross-shard apply.  The crashed round's
+        intent must still be found (and undone) by recovery."""
+        owners = _owners(3)
+        shards = sorted(owners)
+        src = owners[shards[0]][0]
+        dst = owners[shards[1]][0]
+        steps = [
+            NemesisStep(
+                kind="disk-fault", src=src, dst=dst, amount=5,
+                shard=shards[0], disk="journal-short-write",
+            ),
+            NemesisStep(
+                kind="crash", src=src, dst=dst, amount=4,
+                shard=shards[0], stage="before-log",
+            ),
+        ]
+        registry = MetricsRegistry()
+        report = run_nemesis(
+            steps, directory=str(tmp_path / "torn"), seed=5, group=group,
+            registry=registry,
+        )
+        assert report.ok, report.invariant_failures
+        assert report.acked == 2  # the absorbed-fault transfer + the probe
+        assert report.crashes == 1 and report.in_doubt_resolved == 1
+        assert report.final_balance == NUM_ACCOUNTS * 100
+        assert registry.counter("storage.write_errors").value == 1
+
+    def test_journal_fsync_failure_downs_the_deployment(self, group, tmp_path):
+        owners = _owners(3)
+        shards = sorted(owners)
+        src = owners[shards[0]][0]
+        dst = owners[shards[1]][0]
+        steps = [
+            NemesisStep(kind="transfer", src=src, dst=dst, amount=5),
+            NemesisStep(
+                kind="disk-fault", src=src, dst=dst, amount=4,
+                shard=shards[0], disk="journal-fsync-failure",
+            ),
+        ]
+        report = run_nemesis(
+            steps, directory=str(tmp_path / "jfsync"), seed=5, group=group
+        )
+        assert report.ok, report.invariant_failures
+        assert report.recoveries == 1  # the round never started; nothing lost
+        assert report.final_balance == NUM_ACCOUNTS * 100
+
+
 @pytest.mark.diskfault
 class TestDiskFaultSweep:
     def test_seed_sweep_holds_all_invariants(self, group, tmp_path):
@@ -162,3 +216,23 @@ class TestDiskFaultSweep:
             group=group,
         )
         assert report.ok, report.invariant_failures
+
+    def test_seed_sweep_with_journal_faults(self, group, tmp_path):
+        """Seeds whose schedules aim disk faults at the intent journal and
+        also crash shards before they log: the combination that hid an
+        in-doubt round behind a torn journal frame."""
+        journal_faults = 0
+        for seed in (5, 6, 9, 10, 17):
+            schedule = generate_schedule(
+                seed=seed, steps=12, num_shards=3,
+                crash_fraction=0.2, disk_fault_fraction=0.3,
+            )
+            journal_faults += sum(s.disk.startswith("journal-") for s in schedule)
+            report = run_nemesis(
+                schedule,
+                directory=str(tmp_path / f"seed-{seed}"),
+                seed=seed,
+                group=group,
+            )
+            assert report.ok, (seed, report.invariant_failures)
+        assert journal_faults >= 10
