@@ -37,7 +37,10 @@ cross-shard commit protocol (``xshard.intents``, ``xshard.commits``,
 ``storage.mirror_write_failures``, ``storage.mirror_repairs``), and the
 ``scrub.*`` family of the scrub/repair pass (``scrub.runs``,
 ``scrub.files_scanned``, ``scrub.records_verified``,
-``scrub.damage_found``, ``scrub.repairs``, ``scrub.quarantined``).
+``scrub.damage_found``, ``scrub.repairs``, ``scrub.quarantined``), and the
+prover's witness counters (``authdict.lookups``,
+``authdict.shared_base.builds``, ``authdict.shared_base.witnesses``,
+``authdict.shared_base.fallbacks``).
 
 ``--bench PATH`` (repeatable) validates an orchestrated ``BENCH_<area>.json``
 trajectory instead: the file is loaded through

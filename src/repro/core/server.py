@@ -288,27 +288,30 @@ class LitmusServer:
                         )
                     )
 
-                for unit_index, unit in enumerate(report.schedule):
-                    with tracer.span("certify_unit", unit=unit_index):
-                        read_cert, write_cert = self.provider.certify_unit(
-                            dict(unit.reads) if unit.reads else None,
-                            dict(unit.writes) if unit.writes else None,
+                # The schedule names every key the batch touches, so the
+                # provider can derive all of its witnesses from one base.
+                with self.provider.shared_base(report.schedule):
+                    for unit_index, unit in enumerate(report.schedule):
+                        with tracer.span("certify_unit", unit=unit_index):
+                            read_cert, write_cert = self.provider.certify_unit(
+                                dict(unit.reads) if unit.reads else None,
+                                dict(unit.writes) if unit.writes else None,
+                            )
+                        if self.fault_plan is not None:
+                            read_cert, write_cert = self.fault_plan.on_certificates(
+                                unit_index, read_cert, write_cert
+                            )
+                        buffer.append(
+                            WrappedUnit(
+                                unit=unit,
+                                read_certificate=read_cert,
+                                write_certificate=write_cert,
+                            )
                         )
-                    if self.fault_plan is not None:
-                        read_cert, write_cert = self.fault_plan.on_certificates(
-                            unit_index, read_cert, write_cert
-                        )
-                    buffer.append(
-                        WrappedUnit(
-                            unit=unit,
-                            read_certificate=read_cert,
-                            write_certificate=write_cert,
-                        )
-                    )
-                    if len(buffer) == size:
+                        if len(buffer) == size:
+                            flush_piece()
+                    if buffer:
                         flush_piece()
-                if buffer:
-                    flush_piece()
 
                 # Collect in piece order; worker exceptions re-raise here.
                 results: list[_PieceProof] = [future.result() for future in futures]

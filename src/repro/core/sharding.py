@@ -87,6 +87,7 @@ the planned fix).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import threading
@@ -377,39 +378,47 @@ class ShardedSession:
         if group is None:
             group = RSAGroup.generate(bits=512, seed=b"litmus-sharded")
         sessions = []
-        for index in range(num_shards):
-            shard_durability = None
-            if durability is not None:
-                shard_durability = DurabilityConfig(
-                    directory=shard_directory(durability.directory, index),
-                    **durability.settings(),
-                )
-            sessions.append(
-                LitmusSession.create(
-                    initial=parts[index],
-                    config=config,
-                    group=group,
-                    invariants=invariants,
-                    max_batch=max_batch,
-                    tracer=tracer,
-                    registry=registry,
-                    retry_policy=retry_policy,
-                    fault_plan=fault_plan,
-                    checkpoint_every=checkpoint_every,
-                    durability=shard_durability,
-                    shard_index=index,
-                )
-            )
         intent_journal = None
-        if durability is not None:
-            os.makedirs(durability.directory, exist_ok=True)
-            intent_journal = IntentJournal(
-                os.path.join(durability.directory, INTENT_JOURNAL_NAME),
-                num_shards=num_shards,
-                fsync=durability.fsync != "never",
-                registry=registry,
-                fs=_filesystem_for(fault_plan, None),
-            )
+        try:
+            for index in range(num_shards):
+                shard_durability = None
+                if durability is not None:
+                    shard_durability = DurabilityConfig(
+                        directory=shard_directory(durability.directory, index),
+                        **durability.settings(),
+                    )
+                sessions.append(
+                    LitmusSession.create(
+                        initial=parts[index],
+                        config=config,
+                        group=group,
+                        invariants=invariants,
+                        max_batch=max_batch,
+                        tracer=tracer,
+                        registry=registry,
+                        retry_policy=retry_policy,
+                        fault_plan=fault_plan,
+                        checkpoint_every=checkpoint_every,
+                        durability=shard_durability,
+                        shard_index=index,
+                    )
+                )
+            if durability is not None:
+                os.makedirs(durability.directory, exist_ok=True)
+                intent_journal = IntentJournal(
+                    os.path.join(durability.directory, INTENT_JOURNAL_NAME),
+                    num_shards=num_shards,
+                    fsync=durability.fsync != "never",
+                    registry=registry,
+                    fs=_filesystem_for(fault_plan, None),
+                )
+        except BaseException:
+            # The shards already open hold WAL handles nobody else can
+            # close.  A close that fails too must not hide the first error.
+            for session in sessions:
+                with contextlib.suppress(DurabilityError):
+                    session.close()
+            raise
         return cls(
             sessions,
             shard_map,

@@ -50,6 +50,9 @@ _LOOKUP_SECONDS = get_metrics().histogram("authdict.lookup_seconds")
 _UPDATE_SECONDS = get_metrics().histogram("authdict.update_seconds")
 _LOOKUPS = get_metrics().counter("authdict.lookups")
 _UPDATES = get_metrics().counter("authdict.updates")
+_SHARED_BUILDS = get_metrics().counter("authdict.shared_base.builds")
+_SHARED_WITNESSES = get_metrics().counter("authdict.shared_base.witnesses")
+_SHARED_FALLBACKS = get_metrics().counter("authdict.shared_base.fallbacks")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,9 @@ class AuthenticatedDictionary:
         self._store: dict[object, object] = {}
         self._product = 1
         self._digest = group.generator
+        # (touched keys T, B) while a batch holds a shared base; see
+        # share_base.  Never part of state(): it is derived, not state.
+        self._shared: tuple[frozenset, int] | None = None
         if initial:
             for key, value in initial.items():
                 self._insert(key, value)
@@ -124,7 +130,18 @@ class AuthenticatedDictionary:
             key, self.prime_bits, lambda: key_prime(key, self.prime_bits)
         )
 
+    def _divide_out(self, keys: Iterable[object]) -> int:
+        """``S`` over the current representatives of *keys* (all present)."""
+        remaining = self._product
+        for key in keys:
+            h = self._h(key, self._store[key])
+            if remaining % h != 0:
+                raise CryptoError("internal state corrupt: product mismatch")
+            remaining //= h
+        return remaining
+
     def _insert(self, key: object, value: object) -> None:
+        self._shared = None
         h = self._h(key, value)
         self._product *= h
         self._digest = self.group.power(self._digest, h)
@@ -169,6 +186,31 @@ class AuthenticatedDictionary:
         self._store = dict(store)
         self._product = product
         self._digest = digest
+        self._shared = None
+
+    # -- the per-batch shared base ------------------------------------------------
+
+    def share_base(self, keys: Iterable[object]) -> None:
+        """Hold ``B = g^(S / prod h_k for k in T ∩ store)`` for touched keys *T*.
+
+        While only keys in *T* change, ``S`` is always ``S_rest`` times the
+        current representatives of ``T ∩ store``, and ``B = g^S_rest`` stays
+        fixed.  So a lookup over ``K ⊆ T`` is ``B`` raised to the current
+        representatives of the keys in ``T ∩ store`` but not in ``K``: at
+        most ``|T|`` representatives instead of the whole table.  That is
+        the same group element ``g^(S / prod_K h_k)`` the from-scratch path
+        computes.  Anything that could change a key outside *T* drops the
+        base: :meth:`restore`, :meth:`_insert`, and an :meth:`update` not
+        contained in *T*.
+        """
+        touched = frozenset(keys)
+        rest = self._divide_out(key for key in touched if key in self._store)
+        self._shared = (touched, self.group.power(self.group.generator, rest))
+        _SHARED_BUILDS.inc()
+
+    def drop_shared_base(self) -> None:
+        """Forget the shared base; later lookups compute from scratch."""
+        self._shared = None
 
     # -- Commit (stateless) ------------------------------------------------------
 
@@ -189,17 +231,32 @@ class AuthenticatedDictionary:
     # -- ProveLookup / VerLookup ---------------------------------------------------
 
     def prove_lookup(self, keys: Iterable[object]) -> LookupProof:
-        """Aggregated proof that each queried key holds its current value."""
+        """Aggregated proof that each queried key holds its current value.
+
+        The witness is ``g^(S / prod_K h_k)``.  When a shared base is held
+        and every key is in its touched set, it is computed as a short
+        exponentiation of that base (see :meth:`share_base`); otherwise as
+        one long exponentiation of the generator.
+        """
         _LOOKUPS.inc()
         with timed(_LOOKUP_SECONDS):
-            remaining = self._product
-            for key in keys:
+            key_list = list(keys)
+            for key in key_list:
                 if key not in self._store:
                     raise CryptoError(f"key {key!r} is not in the dictionary")
-                h = self._h(key, self._store[key])
-                if remaining % h != 0:
-                    raise CryptoError("internal state corrupt: product mismatch")
-                remaining //= h
+            remaining = self._divide_out(key_list)
+            key_set = set(key_list)
+            if self._shared is not None:
+                touched, base = self._shared
+                if key_set <= touched:
+                    _SHARED_WITNESSES.inc()
+                    left_in = prime_product(
+                        self._h(key, self._store[key])
+                        for key in touched
+                        if key in self._store and key not in key_set
+                    )
+                    return LookupProof(witness=self.group.power(base, left_in))
+                _SHARED_FALLBACKS.inc()
             return LookupProof(
                 witness=self.group.power(self.group.generator, remaining)
             )
@@ -282,6 +339,8 @@ class AuthenticatedDictionary:
         with timed(_UPDATE_SECONDS):
             existing = [key for key in changes if key in self._store]
             proof = self.prove_lookup(existing)
+            if self._shared is not None and not self._shared[0].issuperset(changes):
+                self._shared = None
             for key in existing:
                 h_old = self._h(key, self._store[key])
                 self._product //= h_old

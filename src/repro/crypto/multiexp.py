@@ -33,11 +33,35 @@ __all__ = ["multiexp", "FixedBaseWindow"]
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
+# Byte -> its low / high nibble, for bytes.translate.
+_LOW_NIBBLE = bytes(value & _WINDOW_MASK for value in range(256))
+_HIGH_NIBBLE = bytes(value >> _WINDOW_BITS for value in range(256))
+
 # A FixedBaseWindow stops extending its squaring table past this many
 # windows (2^20 exponent bits); higher bits fall back to one backend
 # powmod over the table's top element, keeping memory bounded while the
-# low, hot section of the exponent still hits the table.
+# low, hot section of the exponent still hits the table.  The cap bounds
+# memory, not time.  Measured at a 511-bit modulus: one entry is ~105 bytes
+# and costs 5 us to build.  Evaluation costs 0.32 us per exponent bit
+# against 1.35 us for powmod.  So the cap is a 26 MiB table that takes 1.3 s
+# to build.  A 512-row table at 64-bit primes needs 24,576 entries.
 _MAX_TABLE_WINDOWS = 1 << 18
+
+
+def _window_digits(exponent: int) -> bytearray:
+    """The base-16 digits of a non-negative *exponent*, least significant first.
+
+    One ``to_bytes`` call and two C-level translations, so the cost is
+    linear in the exponent's length.  Shifting the whole exponent once per
+    window (``(exponent >> 4*i) & 15``) is quadratic and dominated every
+    long exponentiation.  The result may end in one zero digit (an odd
+    number of nibbles is padded to whole bytes).
+    """
+    raw = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
+    digits = bytearray(2 * len(raw))
+    digits[0::2] = raw.translate(_LOW_NIBBLE)
+    digits[1::2] = raw.translate(_HIGH_NIBBLE)
+    return digits
 
 
 def multiexp(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
@@ -61,16 +85,17 @@ def multiexp(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
         for _ in range(_WINDOW_MASK - 1):
             table.append(mulmod(table[-1], base, modulus))
         tables.append(table)
-    max_bits = max(exponent.bit_length() for _base, exponent in live)
-    num_windows = -(-max_bits // _WINDOW_BITS)
+    digit_rows = [_window_digits(exponent) for _base, exponent in live]
+    num_windows = max(len(digits) for digits in digit_rows)
+    for digits in digit_rows:
+        digits.extend(bytes(num_windows - len(digits)))
     acc = 1
     for window in reversed(range(num_windows)):
         if acc != 1:
             for _ in range(_WINDOW_BITS):
                 acc = mulmod(acc, acc, modulus)
-        shift = window * _WINDOW_BITS
-        for (_base, exponent), table in zip(live, tables):
-            digit = (exponent >> shift) & _WINDOW_MASK
+        for digits, table in zip(digit_rows, tables):
+            digit = digits[window]
             if digit:
                 acc = mulmod(acc, table[digit], modulus)
     return acc
@@ -133,8 +158,7 @@ class FixedBaseWindow:
         # the product of every table power whose digit equals v; the final
         # result is prod buckets[v]^v, folded with the running-sum trick.
         buckets = [1] * (_WINDOW_MASK + 1)
-        for index in range(num_windows):
-            digit = (exponent >> (index * _WINDOW_BITS)) & _WINDOW_MASK
+        for index, digit in enumerate(_window_digits(exponent)):
             if digit:
                 if buckets[digit] == 1:
                     buckets[digit] = powers[index]

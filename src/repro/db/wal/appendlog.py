@@ -74,8 +74,12 @@ class AppendLog:
         """Start a new file: exclusive create, *magic*, made durable."""
         self.path = path
         self._file = self.fs.open(path, "xb")
-        self._file.write(magic)
-        self._file.flush()
+        try:
+            self._file.write(magic)
+            self._file.flush()
+        except OSError:
+            self.close()  # the caller gets the error, not a handle to free
+            raise
         self.finished = len(magic)
         if self.sync():
             self.fs.fsync_dir(os.path.dirname(path) or ".")

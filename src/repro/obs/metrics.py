@@ -16,6 +16,12 @@ Metric naming taxonomy (dotted, lowercase):
 - ``snark.setup_cache.{hits,misses}`` — proving-key reuse;
 - ``snark.{prove,verify}_seconds`` (histograms), ``snark.{proofs,verifies}``;
 - ``accumulator.witness_seconds`` / ``authdict.{lookup,update}_seconds``;
+- ``authdict.{lookups,updates}`` and ``authdict.shared_base.*`` — how
+  lookup witnesses were minted: ``builds`` (one long generator
+  exponentiation per batch that holds a shared base), ``witnesses``
+  (lookups answered by a short exponentiation of that base) and
+  ``fallbacks`` (lookups outside the base's touched keys, computed from
+  scratch while a base was held);
 - ``db.{committed,aborted_retries}`` — CC-layer outcomes per batch;
 - ``server.{batches,pieces}`` / ``client.{batches_accepted,batches_rejected}``;
 - ``session.{deadline_aborts,...}`` — facade-level round outcomes,

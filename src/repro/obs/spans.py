@@ -15,13 +15,17 @@ source of) those fields.
 
 The tracer's buffer of finished spans is bounded (``maxlen``); overflow
 drops the *oldest* records and counts them in :attr:`Tracer.dropped`, so a
-long-lived server cannot leak memory through its default tracer.
+long-lived server cannot leak memory through its default tracer.  A
+per-root index, kept in step with the buffer on every append and eviction,
+answers :meth:`Tracer.spans_in` in time proportional to one tree rather
+than to the whole buffer.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator, Mapping
@@ -118,7 +122,10 @@ class Tracer:
             raise ValueError("tracer buffer must hold at least one span")
         self.maxlen = maxlen
         self.dropped = 0
-        self._records: list[SpanRecord] = []
+        self._records: deque[SpanRecord] = deque()
+        # root_id -> that tree's records, oldest first.  Eviction always
+        # takes the buffer's oldest record, which is the oldest of its tree.
+        self._by_root: dict[int, deque[SpanRecord]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -167,10 +174,14 @@ class Tracer:
         )
         with self._lock:
             self._records.append(record)
-            overflow = len(self._records) - self.maxlen
-            if overflow > 0:
-                del self._records[:overflow]
-                self.dropped += overflow
+            self._by_root.setdefault(record.root_id, deque()).append(record)
+            while len(self._records) > self.maxlen:
+                evicted = self._records.popleft()
+                tree = self._by_root[evicted.root_id]
+                tree.popleft()
+                if not tree:
+                    del self._by_root[evicted.root_id]
+                self.dropped += 1
 
     # -- queries --------------------------------------------------------------
 
@@ -182,7 +193,7 @@ class Tracer:
     def spans_in(self, root_id: int) -> tuple[SpanRecord, ...]:
         """The finished spans of one tree (e.g. one verification batch)."""
         with self._lock:
-            return tuple(r for r in self._records if r.root_id == root_id)
+            return tuple(self._by_root.get(root_id, ()))
 
     def by_name(self, name: str) -> tuple[SpanRecord, ...]:
         with self._lock:
@@ -195,6 +206,7 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._records.clear()
+            self._by_root.clear()
             self.dropped = 0
 
     def __len__(self) -> int:

@@ -21,6 +21,7 @@ from repro.core import (
     ShardedSession,
 )
 from repro.core.sharding import ShardMap
+from repro.db.fsio import FaultyFileSystem
 from repro.db.wal import INTENT_JOURNAL_NAME, IntentJournal
 from repro.errors import DurabilityError, RecoveryError, SimulatedCrash
 from repro.faults import (
@@ -387,6 +388,39 @@ class TestRouterJournalContract:
                 durability=DurabilityConfig(directory=str(tmp_path / "nojournal")),
             )
         assert excinfo.value.op == "write"
+
+    def test_create_closes_every_file_when_the_journal_cannot_be_made(
+        self, group, tmp_path, monkeypatch
+    ):
+        # Every file a failed create() opened (each shard's WAL segment and
+        # the journal itself) must be closed by the time the error escapes.
+        opened, closed = [], []
+        real_open = FaultyFileSystem.open
+
+        def spy_open(fs, path, mode):
+            handle = real_open(fs, path, mode)
+            real_close = handle.close
+
+            def close():
+                closed.append(path)
+                real_close()
+
+            handle.close = close
+            opened.append(path)
+            return handle
+
+        monkeypatch.setattr(FaultyFileSystem, "open", spy_open)
+        plan = FaultPlan(WriteError(path_contains="intents", times=None))
+        with pytest.raises(DurabilityError):
+            ShardedSession.create(
+                initial=_initial(), config=CONFIG, num_shards=3, group=group,
+                registry=MetricsRegistry(), fault_plan=plan,
+                durability=DurabilityConfig(directory=str(tmp_path / "nojournal")),
+            )
+        segments = {os.path.dirname(path) for path in opened if path.endswith(".seg")}
+        assert len(segments) == 3  # one WAL per shard
+        assert any(path.endswith(INTENT_JOURNAL_NAME) for path in opened)
+        assert set(opened) <= set(closed)
 
     @pytest.mark.parametrize(
         "fault, op",

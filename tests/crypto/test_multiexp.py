@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import threading
+from time import perf_counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.cache import clear_prime_caches, generator_fixed_base
 from repro.crypto.multiexp import FixedBaseWindow, multiexp
 from repro.crypto.rsa_group import default_group
+
+# The module, not the function of the same name ``repro.crypto`` re-exports.
+multiexp_module = importlib.import_module("repro.crypto.multiexp")
+
+# Exponents at the edges of the 4-bit windows and of the bytes the digits
+# are read from: 0, 1, 2^(4k) +- 1, and lengths odd in nibbles.
+BOUNDARY_EXPONENTS = [0, 1, 2, 15, 16, 17, 255, 256, 257, 4095, 4096, 4097] + [
+    (1 << (4 * k)) + delta for k in (3, 8, 33, 64) for delta in (-1, 0, 1)
+] + [(1 << bits) - 1 for bits in (4, 12, 20, 36, 260)] + [0xABC, 0x1F0F0F]
 
 
 def _reference(pairs, modulus):
@@ -45,6 +57,14 @@ class TestMultiexp:
         ]
         assert multiexp(pairs, n) == _reference(pairs, n)
 
+    def test_window_and_byte_boundaries(self, group):
+        n = group.modulus
+        rng = random.Random(19)
+        for exponent in BOUNDARY_EXPONENTS:
+            # unequal digit counts: a short boundary exponent beside a long one
+            pairs = [(group.generator, exponent), (rng.randrange(2, n), rng.getrandbits(300))]
+            assert multiexp(pairs, n) == _reference(pairs, n)
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(2, 2**64), st.integers(0, 2**130)), max_size=8))
     def test_property_matches_reference(self, pairs):
@@ -60,6 +80,49 @@ class TestFixedBaseWindow:
         for bits in (1, 4, 63, 128, 500, 3000, 12000):
             e = rng.getrandbits(bits) | (1 << (bits - 1)) if bits > 1 else 1
             assert window.power(e) == pow(group.generator, e, n)
+
+    def test_window_and_byte_boundaries(self, group):
+        n = group.modulus
+        window = FixedBaseWindow(group.generator, n)
+        for exponent in BOUNDARY_EXPONENTS:
+            assert window.power(exponent) == pow(group.generator, exponent, n)
+
+    def test_split_path_past_the_table_cap(self, group, monkeypatch):
+        # With the cap at 3 windows, every exponent above 12 bits takes the
+        # split: the table covers the low 12 bits, powmod does the rest.
+        monkeypatch.setattr(multiexp_module, "_MAX_TABLE_WINDOWS", 3)
+        n = group.modulus
+        window = FixedBaseWindow(group.generator, n)
+        rng = random.Random(29)
+        exponents = [(1 << 12) - 1, 1 << 12, (1 << 12) + 1, 1 << 13, 0xF000F]
+        exponents += [rng.getrandbits(bits) for bits in (13, 16, 17, 64, 500)]
+        for exponent in exponents:
+            assert window.power(exponent) == pow(group.generator, exponent, n)
+        assert window.table_entries == 4  # the cap plus the split's top power
+
+    def test_time_is_linear_in_exponent_length(self, group):
+        """8x the bits must cost well under 12x the time.
+
+        Reading each window digit with a whole-exponent shift made this
+        ratio ~20x at these sizes; reading the digits once makes it ~8x.
+        """
+        n = group.modulus
+        window = FixedBaseWindow(group.generator, n)
+        rng = random.Random(31)
+        short = rng.getrandbits(32_768) | (1 << 32_767)
+        long = rng.getrandbits(8 * 32_768) | (1 << (8 * 32_768 - 1))
+        window.power(long)  # build the table outside the timed region
+
+        def best_of_3(exponent: int) -> float:
+            times = []
+            for _ in range(3):
+                start = perf_counter()
+                window.power(exponent)
+                times.append(perf_counter() - start)
+            return min(times)
+
+        ratio = best_of_3(long) / best_of_3(short)
+        assert ratio < 12, f"8x the exponent bits took {ratio:.1f}x the time"
 
     def test_zero_and_negative_exponents(self, group):
         n = group.modulus

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs import Span, Tracer, get_tracer, set_tracer, stage_totals
+
+
+def _closed_parent(roots: list[int], rng: random.Random) -> Span:
+    """A stand-in parent inside an earlier, already closed tree."""
+    root_id = rng.choice(roots[:-1])
+    return Span(name="old", span_id=root_id, parent_id=None, root_id=root_id, start=0.0)
 
 
 class TestNesting:
@@ -148,6 +156,62 @@ class TestBufferBounds:
     def test_rejects_empty_buffer(self):
         with pytest.raises(ValueError):
             Tracer(maxlen=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_root_index_matches_a_linear_filter(self, seed):
+        """spans_in answers from a per-root index; it must return exactly
+        what a scan of the buffer would, before and after overflow."""
+        rng = random.Random(seed)
+        tracer = Tracer(maxlen=rng.choice([7, 40, 1000]))
+        roots: list[int] = []
+
+        def grow(parent, depth: int) -> None:
+            # explicit parents interleave trees, as pool workers do
+            for _ in range(rng.randrange(0, 3 if depth < 3 else 1)):
+                with tracer.span("child", parent=parent) as span:
+                    grow(span, depth + 1)
+
+        for _ in range(rng.randrange(5, 40)):
+            with tracer.span("root") as root:
+                roots.append(root.root_id)
+                grow(root, 0)
+            if rng.random() < 0.3 and len(roots) > 1:
+                with tracer.span("late", parent=_closed_parent(roots, rng)):
+                    pass
+            for root_id in roots:
+                linear = tuple(r for r in tracer.finished() if r.root_id == root_id)
+                assert tracer.spans_in(root_id) == linear
+        assert tracer.spans_in(-1) == ()
+        tracer.clear()
+        assert all(tracer.spans_in(root_id) == () for root_id in roots)
+
+    def test_root_index_survives_concurrent_overflow(self):
+        tracer = Tracer(maxlen=50)
+        roots: list[int] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def worker() -> None:
+            for _ in range(40):
+                with tracer.span("batch") as root:
+                    roots.append(root.root_id)
+                    for _ in range(3):
+                        with tracer.span("child"):
+                            pass
+
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(tracer) == 50 and tracer.dropped == 8 * 40 * 4 - 50
+        for root_id in roots:
+            linear = tuple(r for r in tracer.finished() if r.root_id == root_id)
+            assert tracer.spans_in(root_id) == linear
 
 
 class TestHelpers:
