@@ -48,13 +48,14 @@ POE_MODE_BATCH = "batch"
 # How many times more a short general-base exponentiation costs per pair
 # representative than the generator's fixed-base window.  Measured at a
 # 511-bit modulus, 64-bit primes (192-bit representatives), pure-python
-# backend, best of 5: the window costs 59-64 us per representative at
-# 64-4096 rows; a general-base powmod costs 258-278 us per representative
-# at 2-64 representatives.  The break-even rule in shared_base, timed
-# against real lookups at 64 and 512 rows, |T| from 4 to 128 and 2 or 4
-# witnesses, picked the faster path at 14 of 16 points.  The two misses
-# were within 5% of break-even.
-_SHORT_COST_PER_REPRESENTATIVE = 4.5
+# backend, best of 5: the 8-bit window costs 28-32 us per representative at
+# 64-4096 rows; a general-base powmod costs 205-233 us per representative
+# at 2-64 representatives (ratio 6.4-8.4).  The break-even rule in
+# shared_base, timed against real lookups at 64 and 512 rows, |T| from 4
+# to 128 and 2 or 4 witnesses, picked the faster path at 16 of 16 points
+# with 7, 7.5 or 8, and at 15 of 16 with 4.5 or 9.  On xshard-r256's
+# 64-row shards, 4.5 and 7.5 mint witnesses equally fast (within 2%).
+_SHORT_COST_PER_REPRESENTATIVE = 7.5
 
 
 @dataclass(frozen=True)

@@ -131,14 +131,21 @@ class AuthenticatedDictionary:
         )
 
     def _divide_out(self, keys: Iterable[object]) -> int:
-        """``S`` over the current representatives of *keys* (all present)."""
-        remaining = self._product
-        for key in keys:
-            h = self._h(key, self._store[key])
-            if remaining % h != 0:
-                raise CryptoError("internal state corrupt: product mismatch")
-            remaining //= h
-        return remaining
+        """``S / prod h_k`` over the current representatives of *keys* (all present).
+
+        One division by the product.  ``prod h_k`` divides ``S`` exactly when
+        dividing ``S`` by each ``h_k`` in turn never leaves a remainder, so
+        this is the same check as a per-key loop, with no assumption that
+        the representatives are distinct or coprime (keys holding equal
+        values share a value prime).
+        """
+        quotient, remainder = divmod(
+            self._product,
+            prime_product(self._h(key, self._store[key]) for key in keys),
+        )
+        if remainder:
+            raise CryptoError("internal state corrupt: product mismatch")
+        return quotient
 
     def _insert(self, key: object, value: object) -> None:
         self._shared = None
@@ -238,9 +245,12 @@ class AuthenticatedDictionary:
         exponentiation of that base (see :meth:`share_base`); otherwise as
         one long exponentiation of the generator.
         """
+        return self._lookup(list(keys))[0]
+
+    def _lookup(self, key_list: list) -> tuple[LookupProof, int]:
+        """:meth:`prove_lookup`, plus the ``S / prod_K h_k`` it divided out."""
         _LOOKUPS.inc()
         with timed(_LOOKUP_SECONDS):
-            key_list = list(keys)
             for key in key_list:
                 if key not in self._store:
                     raise CryptoError(f"key {key!r} is not in the dictionary")
@@ -255,11 +265,10 @@ class AuthenticatedDictionary:
                         for key in touched
                         if key in self._store and key not in key_set
                     )
-                    return LookupProof(witness=self.group.power(base, left_in))
+                    return LookupProof(witness=self.group.power(base, left_in)), remaining
                 _SHARED_FALLBACKS.inc()
-            return LookupProof(
-                witness=self.group.power(self.group.generator, remaining)
-            )
+            witness = self.group.power(self.group.generator, remaining)
+            return LookupProof(witness=witness), remaining
 
     def lookup_exponent(self, pairs: Mapping[object, object]) -> int:
         """The aggregated exponent ``prod H(k, v)`` a lookup proof is checked
@@ -338,18 +347,12 @@ class AuthenticatedDictionary:
         _UPDATES.inc()
         with timed(_UPDATE_SECONDS):
             existing = [key for key in changes if key in self._store]
-            proof = self.prove_lookup(existing)
+            proof, rest = self._lookup(existing)
             if self._shared is not None and not self._shared[0].issuperset(changes):
                 self._shared = None
-            for key in existing:
-                h_old = self._h(key, self._store[key])
-                self._product //= h_old
-            new_representatives = []
-            for key, value in changes.items():
-                new_representatives.append(self._h(key, value))
-                self._store[key] = value
-            roll_forward = prime_product(new_representatives)
-            self._product *= roll_forward
+            roll_forward = prime_product(self._h(key, value) for key, value in changes.items())
+            self._store.update(changes)
+            self._product = rest * roll_forward
             # d' = pi^(prod H(k, v_new)): the witness excludes exactly the old
             # pairs of the changed keys, so raising it by the new pairs lands
             # on g^S' without touching the rest of the dictionary.

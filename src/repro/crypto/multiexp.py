@@ -4,18 +4,19 @@ Two classic algorithms, both dispatching their modular multiplications
 through the active :mod:`repro.crypto.backend`:
 
 - :func:`multiexp` — simultaneous multi-exponentiation (Straus's
-  interleaved windowed method): ``prod base_i ^ exp_i mod N`` with the
-  squaring chain *shared* across every base.  For the batched-PoE check
-  (k bases, 128-bit exponents) this replaces ``k`` independent
-  exponentiations (``~128·k`` squarings) with 128 shared squarings plus
-  one table multiply per non-zero window.
+  interleaved windowed method, 4-bit windows): ``prod base_i ^ exp_i mod
+  N`` with the squaring chain *shared* across every base.  For the
+  batched-PoE check (k bases, 128-bit exponents) this replaces ``k``
+  independent exponentiations (``~128·k`` squarings) with 128 shared
+  squarings plus one table multiply per non-zero window.
 - :class:`FixedBaseWindow` — fixed-base windowed precomputation
-  (Brickell et al. / Pippenger bucket evaluation).  The RSA group
-  generator is raised to *enormous* exponents (the accumulator product
-  over the whole dictionary) on every lookup-witness mint; caching
-  ``g^(2^(w·i))`` once per group turns each such exponentiation from
-  ``|e|`` squarings + ``|e|/5`` multiplies into ``~|e|/w`` multiplies
-  with **no** squarings at all.
+  (Brickell et al. / Pippenger bucket evaluation) with 8-bit windows, so
+  the window digits are the exponent's bytes.  The RSA group generator is
+  raised to *enormous* exponents (the accumulator product over the whole
+  dictionary) on every lookup-witness mint; caching ``g^(2^(8·i))`` once
+  per group turns each such exponentiation from ``|e|`` squarings +
+  ``|e|/5`` multiplies into ``~|e|/8`` multiplies plus a fixed ~510-multiply
+  fold, with **no** squarings at all.
 
 Both kernels are exact — they compute the same integer ``pow`` would —
 so digests and certificates are unchanged no matter which path runs.
@@ -30,6 +31,7 @@ from .backend import get_backend
 
 __all__ = ["multiexp", "FixedBaseWindow"]
 
+# Straus windows (multiexp).  The fixed-base table uses whole bytes.
 _WINDOW_BITS = 4
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
@@ -38,14 +40,15 @@ _LOW_NIBBLE = bytes(value & _WINDOW_MASK for value in range(256))
 _HIGH_NIBBLE = bytes(value >> _WINDOW_BITS for value in range(256))
 
 # A FixedBaseWindow stops extending its squaring table past this many
-# windows (2^20 exponent bits); higher bits fall back to one backend
+# 8-bit windows (2^20 exponent bits); higher bits fall back to one backend
 # powmod over the table's top element, keeping memory bounded while the
 # low, hot section of the exponent still hits the table.  The cap bounds
 # memory, not time.  Measured at a 511-bit modulus: one entry is ~105 bytes
-# and costs 5 us to build.  Evaluation costs 0.32 us per exponent bit
-# against 1.35 us for powmod.  So the cap is a 26 MiB table that takes 1.3 s
-# to build.  A 512-row table at 64-bit primes needs 24,576 entries.
-_MAX_TABLE_WINDOWS = 1 << 18
+# and costs 10 us (8 squarings) to build.  Evaluation costs 0.17 us per
+# exponent bit against 1.35 us for powmod.  So the cap is a 13 MiB table
+# that takes 1.3 s to build.  A 512-row table at 64-bit primes needs 12,288
+# entries.
+_MAX_TABLE_WINDOWS = 1 << 17
 
 
 def _window_digits(exponent: int) -> bytearray:
@@ -102,7 +105,7 @@ def multiexp(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
 
 
 class FixedBaseWindow:
-    """Precomputed powers ``base^(2^(w·i))`` with bucketed evaluation.
+    """Precomputed powers ``base^(2^(8·i))`` with bucketed evaluation.
 
     The table grows lazily to the largest exponent seen (bounded by
     ``_MAX_TABLE_WINDOWS``) and is safe to share across threads: growth
@@ -112,7 +115,7 @@ class FixedBaseWindow:
     def __init__(self, base: int, modulus: int):
         self.modulus = modulus
         self.base = base % modulus
-        self._powers: list[int] = [self.base]  # powers[i] = base^(2^(w*i))
+        self._powers: list[int] = [self.base]  # powers[i] = base^(2^(8*i))
         self._lock = threading.Lock()
 
     def _ensure(self, num_windows: int) -> list[int]:
@@ -125,7 +128,7 @@ class FixedBaseWindow:
             powers = self._powers
             while len(powers) < num_windows:
                 top = powers[-1]
-                for _ in range(_WINDOW_BITS):
+                for _ in range(8):
                     top = backend.mulmod(top, top, self.modulus)
                 powers.append(top)
             return powers
@@ -143,30 +146,31 @@ class FixedBaseWindow:
             return 1 % self.modulus
         modulus = self.modulus
         mulmod = backend.mulmod
-        num_windows = -(-exponent.bit_length() // _WINDOW_BITS)
+        # The base-256 digits, least significant first: the exponent's bytes.
+        digits = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
         high = 1
-        if num_windows > _MAX_TABLE_WINDOWS:
+        if len(digits) > _MAX_TABLE_WINDOWS:
             # Split: the table covers the low 2^20 bits; the remainder is
             # one backend exponentiation over the table's top power.
             powers = self._ensure(_MAX_TABLE_WINDOWS + 1)
-            split = _MAX_TABLE_WINDOWS * _WINDOW_BITS
-            high = backend.powmod(powers[_MAX_TABLE_WINDOWS], exponent >> split, modulus)
-            exponent &= (1 << split) - 1
-            num_windows = _MAX_TABLE_WINDOWS
-        powers = self._ensure(num_windows)
-        # Bucket the window digits by value (Pippenger): buckets[v] holds
-        # the product of every table power whose digit equals v; the final
+            high = backend.powmod(
+                powers[_MAX_TABLE_WINDOWS], exponent >> (8 * _MAX_TABLE_WINDOWS), modulus
+            )
+            digits = digits[:_MAX_TABLE_WINDOWS]
+        powers = self._ensure(len(digits))
+        # Bucket the digits by value (Pippenger): buckets[v] holds the
+        # product of every table power whose digit equals v; the final
         # result is prod buckets[v]^v, folded with the running-sum trick.
-        buckets = [1] * (_WINDOW_MASK + 1)
-        for index, digit in enumerate(_window_digits(exponent)):
+        buckets = [1] * 256
+        for digit, power in zip(digits, powers):
             if digit:
                 if buckets[digit] == 1:
-                    buckets[digit] = powers[index]
+                    buckets[digit] = power
                 else:
-                    buckets[digit] = mulmod(buckets[digit], powers[index], modulus)
+                    buckets[digit] = mulmod(buckets[digit], power, modulus)
         acc = 1
         running = 1
-        for value in range(_WINDOW_MASK, 0, -1):
+        for value in range(255, 0, -1):
             bucket = buckets[value]
             if bucket != 1:
                 running = bucket if running == 1 else mulmod(running, bucket, modulus)

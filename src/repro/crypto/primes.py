@@ -4,9 +4,10 @@ Three layers of assurance are provided:
 
 1. :func:`is_prime_trial` — *provable* primality by trial division, suitable
    for the small base primes that anchor a Pocklington certificate chain;
-2. :func:`is_probable_prime` — deterministic Miller–Rabin: the fixed base set
-   is provably correct for all n < 3.3 * 10^24 and overwhelmingly reliable
-   beyond (error < 2^-128 with the extended base schedule);
+2. :func:`is_probable_prime` — deterministic Miller–Rabin: seven fixed bases
+   are provably correct for all n < 2^64, thirteen for all n < 3.3 * 10^24,
+   and the set is overwhelmingly reliable beyond (error < 2^-128 with the
+   extended base schedule);
 3. Pocklington certificates (see :mod:`repro.crypto.pocklington`) — fully
    verifiable primality proofs, as required by the paper for primes supplied
    to the circuit as auxiliary inputs.
@@ -44,6 +45,14 @@ def _sieve(limit: int) -> list[int]:
 
 SMALL_PRIMES: list[int] = _sieve(10_000)
 
+# Seven bases making Miller-Rabin deterministic for n < 2^64 (J. Sinclair's
+# set, verified against the Feitsma-Galway list of base-2 strong
+# pseudoprimes below 2^64).  A base is used reduced mod n and skipped when
+# that is 0 or 1, the standard rule for these sets: base 0 would fail a
+# prime (407521 divides 9780504), and base 1, a round every n passes, would
+# fail miller_rabin_round's divisor check (1483 divides 28178 - 1).
+_SEVEN_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_SEVEN_BASES_BOUND = 1 << 64
 # Bases making Miller-Rabin deterministic for n < 3,317,044,064,679,887,385,961,981
 # (Sorenson & Webster 2015).
 _DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -108,7 +117,11 @@ def miller_rabin_round(n: int, base: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (provably correct below ~3.3 * 10^24)."""
+    """Deterministic Miller-Rabin (provably correct below ~3.3 * 10^24).
+
+    Candidates below 2^64, every 64-bit representative among them, run
+    seven rounds; larger ones run thirteen, or 53 above that bound.
+    """
     if n < 2:
         return False
     if n <= _PREFILTER_BOUND:
@@ -130,6 +143,9 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _miller_rabin_all(n: int) -> bool:
+    if n < _SEVEN_BASES_BOUND:
+        residues = (base % n for base in _SEVEN_BASES)
+        return all(miller_rabin_round(n, a) for a in residues if a > 1)
     bases = _DETERMINISTIC_BASES
     if n >= _DETERMINISTIC_BOUND:
         bases = _DETERMINISTIC_BASES + _EXTRA_BASES

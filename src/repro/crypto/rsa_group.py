@@ -27,13 +27,17 @@ from .primes import is_probable_prime
 __all__ = ["RSAGroup", "bezout", "default_group"]
 
 # Below this exponent size the plain backend powmod wins: the fixed-base
-# bucket evaluation only amortizes once the exponent is long enough that
-# skipping the squaring chain pays for the bucket bookkeeping.  Measured
-# with a warm table, pure-python backend, best of 5 over 200 exponents:
-# window / pow = 0.83 at 16 bits, 0.52 at 32, 0.39 at 64, 0.29 at 192
-# (511-bit modulus; 0.76 / 0.49 / 0.38 / 0.29 at 2048 bits).  16 bits is
-# inside the noise, so the window takes over at 32.
-_FIXED_BASE_MIN_BITS = 32
+# evaluation skips the squaring chain but always pays its 255-bucket fold
+# (up to ~510 multiplies), which only a long exponent amortizes.  Measured
+# with a warm table, pure-python backend, best of 5 over 200 exponents,
+# window / pow:
+#
+#   exponent bits    64    128   192   256   288   320   384   512
+#   511-bit N       3.05  1.80  1.29  1.01  0.90  0.85  0.73  0.58
+#   2047-bit N                  1.36  1.07        0.89  0.75  0.62
+#
+# 256 bits is break-even, so the window takes over at 288.
+_FIXED_BASE_MIN_BITS = 288
 
 
 def bezout(x: int, y: int) -> tuple[int, int, int]:

@@ -17,6 +17,7 @@ from repro.crypto.rsa_group import default_group
 
 # The module, not the function of the same name ``repro.crypto`` re-exports.
 multiexp_module = importlib.import_module("repro.crypto.multiexp")
+rsa_group_module = importlib.import_module("repro.crypto.rsa_group")
 
 # Exponents at the edges of the 4-bit windows and of the bytes the digits
 # are read from: 0, 1, 2^(4k) +- 1, and lengths odd in nibbles.
@@ -88,8 +89,8 @@ class TestFixedBaseWindow:
             assert window.power(exponent) == pow(group.generator, exponent, n)
 
     def test_split_path_past_the_table_cap(self, group, monkeypatch):
-        # With the cap at 3 windows, every exponent above 12 bits takes the
-        # split: the table covers the low 12 bits, powmod does the rest.
+        # With the cap at 3 windows, every exponent above 24 bits takes the
+        # split: the table covers the low 24 bits, powmod does the rest.
         monkeypatch.setattr(multiexp_module, "_MAX_TABLE_WINDOWS", 3)
         n = group.modulus
         window = FixedBaseWindow(group.generator, n)
@@ -123,6 +124,37 @@ class TestFixedBaseWindow:
 
         ratio = best_of_3(long) / best_of_3(short)
         assert ratio < 12, f"8x the exponent bits took {ratio:.1f}x the time"
+
+    def test_byte_digit_boundaries(self, group):
+        # The fixed-base digits are the exponent's bytes: every length from
+        # 1 to 40 bytes, all-0xFF (every digit in the top bucket), and one
+        # non-zero byte at each position (a single bucket, the rest empty).
+        n = group.modulus
+        window = FixedBaseWindow(group.generator, n)
+        rng = random.Random(37)
+        exponents = []
+        for length in range(1, 41):
+            exponents.append(rng.getrandbits(8 * length) | (1 << (8 * length - 1)))
+            exponents.append((1 << (8 * length)) - 1)
+        for position in range(40):
+            for byte in (0x01, 0x80, 0xFF, rng.randrange(2, 0xFF)):
+                exponents.append(byte << (8 * position))
+        for exponent in exponents:
+            assert window.power(exponent) == pow(group.generator, exponent, n), hex(exponent)
+
+    def test_split_path_at_byte_windows(self, group, monkeypatch):
+        # With the cap at 3 windows the table covers the low 24 bits, and
+        # powmod over the table's top power does the rest.
+        monkeypatch.setattr(multiexp_module, "_MAX_TABLE_WINDOWS", 3)
+        n = group.modulus
+        window = FixedBaseWindow(group.generator, n)
+        rng = random.Random(41)
+        exponents = [(1 << 24) + delta for delta in (-1, 0, 1)] + [1 << 25, 0xFF000000FF]
+        exponents += [(1 << bits) - 1 for bits in (23, 24, 25, 32, 512)]
+        exponents += [rng.getrandbits(bits) for bits in (25, 31, 33, 64, 1000)]
+        for exponent in exponents:
+            assert window.power(exponent) == pow(group.generator, exponent, n), hex(exponent)
+        assert window.table_entries == 4
 
     def test_zero_and_negative_exponents(self, group):
         n = group.modulus
@@ -188,6 +220,22 @@ class TestRegistry:
         )
         # The large generator power above must have populated the shared table.
         assert window.table_entries > 1
+
+    def test_group_power_at_the_fixed_base_threshold(self, group):
+        # Just below the threshold powmod runs, at and above it the window;
+        # both must agree with pow for the generator and for another base.
+        rng = random.Random(43)
+        n = group.modulus
+        other = rng.randrange(2, n)
+        for bits in (
+            rsa_group_module._FIXED_BASE_MIN_BITS - 1,
+            rsa_group_module._FIXED_BASE_MIN_BITS,
+            rsa_group_module._FIXED_BASE_MIN_BITS + 1,
+        ):
+            top = 1 << (bits - 1)
+            for exponent in (top, (1 << bits) - 1, rng.getrandbits(bits) | top):
+                assert group.power(group.generator, exponent) == pow(group.generator, exponent, n)
+                assert group.power(other, exponent) == pow(other, exponent, n)
 
     def test_epoch_bump_drops_windows(self, group):
         from repro.crypto.cache import bump_prime_cache_epoch

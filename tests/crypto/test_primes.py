@@ -154,3 +154,98 @@ class TestWheelFastPath:
         p = next_probable_prime(10_000)
         assert is_probable_prime(p)
         assert not is_probable_prime(p * p)
+
+
+def _thirteen_bases(n: int) -> bool:
+    """The schedule used below 2^64 before the seven-base set: trial
+    division by the first thirteen primes, then the thirteen fixed bases
+    (plus the extra forty above their bound)."""
+    from repro.crypto.primes import (
+        _DETERMINISTIC_BASES,
+        _DETERMINISTIC_BOUND,
+        _EXTRA_BASES,
+    )
+
+    if n < 2:
+        return False
+    for p in _DETERMINISTIC_BASES:
+        if n % p == 0:
+            return n == p
+    bases = _DETERMINISTIC_BASES
+    if n >= _DETERMINISTIC_BOUND:
+        bases = bases + _EXTRA_BASES
+    return all(miller_rabin_round(n, base) for base in bases)
+
+
+class TestSevenBasesBelow2To64:
+    """Below 2^64 Miller-Rabin runs seven bases; it must agree with the
+    thirteen-base schedule everywhere, including where a base reduced mod n
+    is 0 or 1."""
+
+    STRONG_PSEUDOPRIMES = [2047, 3215031751, 3825123056546413051, 318665857834031151167461]
+    CARMICHAEL = [561, 41041, 825265, 321197185]
+
+    @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+    def test_pseudoprimes_and_carmichael_numbers_are_composite(self, n):
+        assert not is_probable_prime(n)
+        assert is_probable_prime(n) == _thirteen_bases(n)
+
+    @pytest.mark.parametrize("n", [407521, 299210837])
+    def test_primes_dividing_a_base_are_prime(self, n):
+        # 407521 divides 9780504 and 299210837 divides 1795265022: without
+        # the base-mod-n rule their round computes 0^d = 0 and fails.
+        from repro.crypto.primes import _SEVEN_BASES
+
+        assert any(base % n == 0 for base in _SEVEN_BASES)
+        assert is_probable_prime(n)
+
+    def test_every_prime_factor_of_a_base_or_base_minus_one_is_prime(self):
+        # A prime p dividing a base makes that base 0 mod p; one dividing
+        # base - 1 makes it 1 (1483 divides 28177).  Both must be skipped.
+        from repro.crypto.primes import _SEVEN_BASES
+
+        factors = set()
+        for value in {v for base in _SEVEN_BASES for v in (base, base - 1)}:
+            divisor = 2
+            while divisor * divisor <= value:
+                while value % divisor == 0:
+                    factors.add(divisor)
+                    value //= divisor
+                divisor += 1
+            if value > 1:
+                factors.add(value)
+        assert {1483, 407521, 299210837} <= factors
+        for p in sorted(factors):
+            assert is_prime_trial(p)
+            assert is_probable_prime(p), p
+
+    @given(st.integers(min_value=1, max_value=2**63 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_on_random_odd_integers(self, half):
+        n = 2 * half + 1
+        assert is_probable_prime(n) == _thirteen_bases(n)
+
+    @given(st.integers(min_value=-4096, max_value=4096))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_around_2_to_64(self, delta):
+        n = 2**64 + delta
+        assert is_probable_prime(n) == _thirteen_bases(n)
+
+    @given(st.integers(min_value=2**31, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_on_semiprimes_of_two_32_bit_primes(self, start):
+        # Products of two close primes are the composites most likely to
+        # slip past a weak base set.
+        p = next_probable_prime(start)
+        q = next_probable_prime(p)
+        assert not is_probable_prime(p * q)
+        assert _thirteen_bases(p * q) is False
+
+    def test_hash_to_prime_outputs_are_unchanged(self, monkeypatch):
+        from repro.crypto import primes
+
+        seeds = [b"seven-bases-%d" % index for index in range(40)]
+        draws = [(seed, bits, residue) for seed in seeds for bits, residue in ((48, 3), (64, 5))]
+        new = [hash_to_prime(*draw) for draw in draws]
+        monkeypatch.setattr(primes, "is_probable_prime", _thirteen_bases)
+        assert [hash_to_prime(*draw) for draw in draws] == new
