@@ -388,7 +388,13 @@ class AuthenticatedDictionary:
         keys: Iterable[object],
         proof: NonMembershipProof,
     ) -> bool:
-        """``VerNoKey``: check ``digest^a * g^(b * prod key primes) == g``."""
+        """``VerNoKey``: check ``digest^a * g^(b * prod key primes) == g``.
+
+        The digest must be a canonical group element in ``[1, N)``, as in
+        :meth:`ver_lookup`: ``digest + N`` is rejected, not reduced.
+        """
+        if not 0 < digest < self.group.modulus:
+            return False
         exponent = prime_product(self._kp(key) for key in keys)
         lhs = self.group.mul(
             self.group.power(digest, proof.a),

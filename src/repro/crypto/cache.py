@@ -14,6 +14,8 @@ running inside every prover worker) can memoize them:
   prime sampling and Pocklington chains, keyed by the deterministic seed
   plus a global *epoch* (bump the epoch to invalidate, e.g. when a test
   rebinds the security parameter);
+- :func:`cached_challenge_prime` — the PoE challenge prime of a transcript,
+  so the in-process verifier reuses the prover's search;
 - :func:`cached_pair_representative` / :func:`cached_key_prime` — the
   authenticated dictionary's ``H(k, v)`` products keyed by
   ``(key, value, epoch)``;
@@ -46,6 +48,7 @@ __all__ = [
     "prime_product",
     "cached_hash_to_prime",
     "cached_certified_prime",
+    "cached_challenge_prime",
     "cached_pair_representative",
     "cached_key_prime",
     "generator_fixed_base",
@@ -182,12 +185,16 @@ _HASH_TO_PRIME_CACHE = LRUCache(maxsize=1 << 16, name="hash_to_prime")
 _CERTIFIED_PRIME_CACHE = LRUCache(maxsize=1 << 12, name="pocklington")
 _PAIR_CACHE = LRUCache(maxsize=1 << 16, name="pair_representative")
 _KEY_PRIME_CACHE = LRUCache(maxsize=1 << 16, name="key_prime")
+# A PoE challenge is wanted twice, by the prover and then by the in-process
+# verifier of the same transcript, so a small table suffices.
+_POE_CHALLENGE_CACHE = LRUCache(maxsize=1 << 8, name="poe_challenge")
 
 _ALL_CACHES = (
     _HASH_TO_PRIME_CACHE,
     _CERTIFIED_PRIME_CACHE,
     _PAIR_CACHE,
     _KEY_PRIME_CACHE,
+    _POE_CHALLENGE_CACHE,
 )
 
 
@@ -241,6 +248,12 @@ def cached_hash_to_prime(
     return _HASH_TO_PRIME_CACHE.get_or_compute(
         key, lambda: hash_to_prime(seed, bits, residue=residue, modulus=modulus)
     )
+
+
+def cached_challenge_prime(seed: bytes, bits: int) -> int:
+    """Memoized PoE challenge prime (``hash_to_prime`` of a transcript)."""
+    key = (_current_epoch(), seed, bits)
+    return _POE_CHALLENGE_CACHE.get_or_compute(key, lambda: hash_to_prime(seed, bits))
 
 
 def cached_certified_prime(

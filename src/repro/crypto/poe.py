@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..serialization import encode
+from .cache import cached_challenge_prime
 from .hashing import hash_bytes_to_int, sha256
 from .multiexp import multiexp
-from .primes import hash_to_prime
 from .rsa_group import RSAGroup
 
 __all__ = [
@@ -73,7 +73,7 @@ class PoEProof:
 
 def _challenge_prime(group: RSAGroup, base: int, result: int, exponent: int) -> int:
     transcript = sha256(encode((group.modulus, base, result, exponent)))
-    return hash_to_prime(b"litmus-poe" + transcript, _CHALLENGE_BITS)
+    return cached_challenge_prime(b"litmus-poe" + transcript, _CHALLENGE_BITS)
 
 
 def prove_exponentiation(group: RSAGroup, base: int, exponent: int) -> tuple[int, PoEProof]:
@@ -160,7 +160,7 @@ def _batch_coefficients(transcript: bytes, count: int) -> list[int]:
 
 
 def _batch_challenge_prime(transcript: bytes) -> int:
-    return hash_to_prime(b"litmus-poe-batch" + transcript, _CHALLENGE_BITS)
+    return cached_challenge_prime(b"litmus-poe-batch" + transcript, _CHALLENGE_BITS)
 
 
 def prove_poe_batch(

@@ -110,19 +110,22 @@ class RSAGroup:
         Negative exponents are supported via modular inversion (the bases we
         use are units with overwhelming probability).  Exponentiations of the
         group generator route through a cached fixed-base window table (see
-        :mod:`repro.crypto.multiexp`) once the exponent is large enough for
-        the table to pay off; the result is bit-for-bit identical.
+        :mod:`repro.crypto.multiexp`) once ``|exponent|`` is large enough for
+        the table to pay off.  A negative one is evaluated there as
+        ``invert(g^|e|)``, which for a unit ``g`` is the element
+        ``invert(g)^|e|`` is, so the result is bit-for-bit identical to the
+        ``powmod`` route.
         """
         backend = get_backend()
-        if exponent < 0:
-            return backend.powmod(
-                backend.invert(base, self.modulus), -exponent, self.modulus
-            )
         if (
             base == self.generator
             and exponent.bit_length() >= _FIXED_BASE_MIN_BITS
         ):
             return self._generator_window().power(exponent)
+        if exponent < 0:
+            return backend.powmod(
+                backend.invert(base, self.modulus), -exponent, self.modulus
+            )
         return backend.powmod(base, exponent, self.modulus)
 
     def _generator_window(self) -> FixedBaseWindow:

@@ -158,6 +158,31 @@ class TestNoKey:
         with pytest.raises(CryptoError):
             ad.prove_no_key(["eve"])
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_canonical_digest_rejected(self, group, ad, sign):
+        """Regression: ``digest + N`` used to verify, and with a negative
+        Bezout ``a`` a digest of 0 or N raised instead of returning False."""
+        key, proof = absent_key_with_sign(ad, sign)
+        n = group.modulus
+        assert ad.ver_no_key(ad.digest, [key], proof)
+        for digest in (ad.digest + n, 0, n, -ad.digest, ad.digest - n):
+            assert ad.ver_no_key(digest, [key], proof) is False
+            assert ad.ver_lookup(digest, {}, LookupProof(witness=ad.digest)) is False
+
+
+def absent_key_with_sign(ad: AuthenticatedDictionary, sign: int):
+    """An absent key whose non-membership proof has ``a`` of *sign*.
+
+    ``a*S + b*p = 1`` forces ``a`` and ``b`` to opposite signs, so the two
+    cases cover a negative digest exponent and a negative generator one.
+    """
+    for index in range(64):
+        key = f"absent-{index}"
+        proof = ad.prove_no_key([key])
+        if proof.a * sign > 0:
+            return key, proof
+    raise AssertionError(f"no absent key with sign(a) = {sign}")
+
 
 class TestPropertyBased:
     @given(

@@ -9,17 +9,38 @@ every ``certify_unit`` result, and one over the verified digest after every
 flush, with constants recorded before the kernels' last rewrite.  A
 mismatch means a certificate or a digest changed, which no performance
 change may do.
+
+The YCSB tables never prove a key absent, so a second case runs seeded
+transfers over four shards with one call in four crossing shards: every
+cross-shard apply blind-inserts keys its shard does not own, which pins the
+non-membership (Bezout) proofs, their negative generator exponents and the
+batched PoE challenges.  Certificates are hashed per shard, because the
+shards certify in parallel threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
+import sys
 
 import pytest
 
-from repro import LitmusConfig, LitmusSession, YCSBWorkload
+from repro import LitmusConfig, LitmusSession, ShardedSession, YCSBWorkload
 from repro.core.memory_integrity import MemoryIntegrityProvider
+from repro.core.sharding import ShardMap
 from repro.crypto.rsa_group import RSAGroup
+from repro.vc.program import (
+    Add,
+    Emit,
+    KeyTemplate,
+    Param,
+    Program,
+    ReadStmt,
+    ReadVal,
+    Sub,
+    WriteStmt,
+)
 
 # The engine and group of benchmarks/e2e/workloads.py (ENGINE, GROUP_SEED),
 # copied so that a benchmark edit cannot move the pinned values.
@@ -43,6 +64,36 @@ EXPECTED = {
         "40d561996548f3628666a32199e9fc6d7f3d5669893e2aa33a3ce1535f969466",
     ),
 }
+
+# The transfer program and the xshard-r256 shape of benchmarks/e2e/workloads.py
+# (TRANSFER, INITIAL_BALANCE, rows, shards, cross_one_in), copied likewise.
+TRANSFER = Program(
+    name="transfer",
+    params=("src", "dst", "amount"),
+    statements=(
+        ReadStmt("s", KeyTemplate(("acct", Param("src")))),
+        ReadStmt("d", KeyTemplate(("acct", Param("dst")))),
+        WriteStmt(KeyTemplate(("acct", Param("src"))), Sub(ReadVal("s"), Param("amount"))),
+        WriteStmt(KeyTemplate(("acct", Param("dst"))), Add(ReadVal("d"), Param("amount"))),
+        Emit(Add(ReadVal("s"), ReadVal("d"))),
+    ),
+)
+INITIAL_BALANCE = 1_000_000
+XSHARD_ROWS, XSHARD_SHARDS, XSHARD_CROSS_ONE_IN = 256, 4, 4
+XSHARD_ROUNDS, XSHARD_TXNS_PER_ROUND, XSHARD_SEED = 18, 8, 61
+
+# (sha256 over each shard's certify_unit results, over the post-flush
+# DigestVectors), recorded before negative generator exponents took the
+# fixed-base table and PoE challenge primes were memoized.
+EXPECTED_SHARDED = (
+    (
+        "e9d0f30be7a203d90184b15170dbcf3916ef89df291d3e88d90262d8e2c0a639",
+        "9fd74838b10b0d244585a16e56f8802657c0b656a1b9910d755c73d194c18336",
+        "44d2e89eaa37f4d0693cfc8dfc599457afdfd6268179d5ed3c8d5f9ec0d05bcc",
+        "3136dfcba12ae80a428dd426d116ae11ba06c93832356a4b68525ebf85858c5a",
+    ),
+    "6d2d40354821286d8549ebf65b0c0e9a5e4cc90b0354628dd6b289ef9a6e10c0",
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +130,64 @@ def fingerprint(rows: int, group: RSAGroup, monkeypatch) -> tuple[str, str]:
 @pytest.mark.parametrize("rows", sorted(EXPECTED))
 def test_outputs_match_the_pinned_fingerprint(rows, e2e_group, monkeypatch):
     assert fingerprint(rows, e2e_group, monkeypatch) == EXPECTED[rows]
+
+
+def transfer_calls(rng: random.Random, shard_map: ShardMap):
+    """The e2e transfer stream: every XSHARD_CROSS_ONE_IN-th call crosses shards."""
+    by_shard: list[list[int]] = [[] for _ in range(XSHARD_SHARDS)]
+    for account in range(XSHARD_ROWS):
+        by_shard[shard_map.shard_of(("acct", account))].append(account)
+    index = 0
+    while True:
+        index += 1
+        src = rng.randrange(XSHARD_ROWS)
+        home = shard_map.shard_of(("acct", src))
+        if index % XSHARD_CROSS_ONE_IN == 0:
+            away = rng.choice([s for s in range(XSHARD_SHARDS) if s != home])
+            dst = rng.choice(by_shard[away])
+        else:
+            dst = rng.choice([a for a in by_shard[home] if a != src])
+        yield {"src": src, "dst": dst, "amount": rng.randint(1, 9)}
+
+
+def sharded_fingerprint(group: RSAGroup, monkeypatch) -> tuple[tuple[str, ...], str]:
+    """Run the transfer rounds; returns per-shard certificate hashes and the
+    hash over every post-flush ``DigestVector``."""
+    session = ShardedSession.create(
+        initial={("acct", i): INITIAL_BALANCE for i in range(XSHARD_ROWS)},
+        config=LitmusConfig(**ENGINE),
+        num_shards=XSHARD_SHARDS,
+        group=group,
+    )
+    shard_of_provider = {
+        id(shard.server.provider): index for index, shard in enumerate(session.shards)
+    }
+    certificates = [hashlib.sha256() for _ in range(XSHARD_SHARDS)]
+    certify_unit = MemoryIntegrityProvider.certify_unit
+
+    def recording(self, reads, writes):
+        result = certify_unit(self, reads, writes)
+        certificates[shard_of_provider[id(self)]].update(repr(result).encode())
+        return result
+
+    monkeypatch.setattr(MemoryIntegrityProvider, "certify_unit", recording)
+    calls = transfer_calls(random.Random(XSHARD_SEED), session.shard_map)
+    digests = hashlib.sha256()
+    # The Bezout coefficients in a certificate's repr run past CPython's
+    # default 4,300-digit limit on int-to-str conversion.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for _ in range(XSHARD_ROUNDS):
+            for _ in range(XSHARD_TXNS_PER_ROUND):
+                session.submit("bank", TRANSFER, **next(calls))
+            assert session.flush().accepted
+            digests.update(repr(tuple(int(d) for d in session.digest)).encode())
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+        session.close()
+    return tuple(c.hexdigest() for c in certificates), digests.hexdigest()
+
+
+def test_sharded_transfers_match_the_pinned_fingerprint(e2e_group, monkeypatch):
+    assert sharded_fingerprint(e2e_group, monkeypatch) == EXPECTED_SHARDED
