@@ -86,10 +86,15 @@ ROLL_FORWARD = "roll-forward"
 
 def as_program_map(
     programs: Iterable[Program] | Mapping[str, Program],
-) -> dict[str, Program]:
-    """The ``{name: program}`` registry replay decodes command logs against."""
+) -> Mapping[str, Program]:
+    """The ``{name: program}`` registry replay decodes command logs against.
+
+    A mapping is used as it is, so one that derives names as they are
+    looked up (:class:`~repro.core.sharding.ApplyCompanions`) keeps doing
+    so through replay.
+    """
     if isinstance(programs, Mapping):
-        return dict(programs)
+        return programs
     return {program.name: program for program in programs}
 
 

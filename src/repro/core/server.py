@@ -445,32 +445,6 @@ class LitmusServer:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _make_pieces(
-        self, wrapped_units: list[WrappedUnit], initial_digest: int
-    ) -> list[WrappedPiece]:
-        """Group certified units into pieces (kept for tests/tools; the
-        pipeline builds pieces incrementally with the same chaining rule)."""
-        pieces: list[WrappedPiece] = []
-        start_digest = initial_digest
-        size = self.config.batches_per_piece
-        for index in range(0, len(wrapped_units), size):
-            chunk = tuple(wrapped_units[index : index + size])
-            poe_batch = None
-            if self.provider.use_poe == POE_MODE_BATCH:
-                poe_batch = self.provider.certify_piece_poe(
-                    wrapped.read_certificate for wrapped in chunk
-                )
-            pieces.append(
-                WrappedPiece(
-                    piece_index=len(pieces),
-                    units=chunk,
-                    start_digest=start_digest,
-                    poe_batch=poe_batch,
-                )
-            )
-            start_digest = _chunk_end_digest(chunk, start_digest)
-        return pieces
-
     def _contention_factor(self, report) -> float:
         """Retry overhead measured from the real CC run (drives Fig 8)."""
         committed = max(1, report.stats.committed)

@@ -36,13 +36,16 @@ A **cross-shard** transaction goes through two phases:
    winners are mutually non-conflicting.
 2. **Execute + apply** — the coordinator executes the program once,
    routing every read to the key's owner shard, and derives the final
-   write set.  The writes are then submitted to every involved shard as a
-   read-free *apply program* (``<name>@apply`` — the same write-key
-   templates with the computed values as parameters), which each shard
-   runs through its full verified pipeline: executed, proven, client
-   verified, and journaled in that shard's WAL.  Apply programs are
-   derived deterministically from the registered program, so WAL replay
-   at recovery re-derives them by name.
+   write set.  Each shard that owns a written key then receives a
+   read-free *apply companion* holding only the write statements whose
+   resolved key it owns, with the computed values as parameters
+   (``<name>@apply[i,j]`` names the statements at write positions *i*
+   and *j*; ``<name>@apply`` is the companion with every write, which a
+   shard gets when it owns them all).  Each shard runs its companion
+   through its full verified pipeline: executed, proven, client verified,
+   and journaled in that shard's WAL.  Companions are pure functions of
+   the registered program, so WAL replay at recovery derives each one
+   from its name when it is looked up (:class:`ApplyCompanions`).
 
 Atomic cross-shard commit
 -------------------------
@@ -73,11 +76,6 @@ commit-decision log:
   the missing participants (roll forward, then commit).  Aborted rounds
   are digest-checked against the journaled watermarks afterwards.
 
-Every shard involved in a cross-shard apply journals the *entire* write
-set; keys a shard does not own become stale copies in its store, which is
-harmless because no read ever consults a non-owner: single-shard
-transactions run on the owner and coordinator reads route to the owner.
-
 Trust model note: the per-shard *write application* is fully verified, but
 the coordinator's cross-shard reads come from the owner shards' local
 stores without per-read certificates — the cross-shard read path is
@@ -90,9 +88,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import re
 import threading
 from time import perf_counter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..crypto.rsa_group import RSAGroup
 from ..db.detreserve import CrossShardPlan, CrossShardReserver
@@ -139,14 +138,21 @@ from .session import (
 )
 
 __all__ = [
+    "ApplyCompanions",
     "ShardMap",
     "ShardedSession",
     "XShardRecoveryReport",
     "derive_apply_program",
+    "is_apply_companion",
 ]
 
 APPLY_SUFFIX = "@apply"
 _APPLY_PARAM_PREFIX = "__w"
+# Every name the companion derivation owns: ``<name>@apply`` and
+# ``<name>@apply[i,j,...]``.
+_COMPANION_NAME = re.compile(
+    r"(?P<base>.*)@apply(?:\[(?P<indexes>\d+(?:,\d+)*)\])?", re.DOTALL
+)
 _SHARD_DOMAIN = b"litmus-shard-map-v1"
 
 
@@ -199,15 +205,30 @@ class ShardMap:
         return parts
 
 
-def derive_apply_program(program: Program) -> Program:
+def is_apply_companion(name: str) -> bool:
+    """True for every name the apply-companion derivation owns.
+
+    Companions are internal to the cross-shard path: a client that could
+    submit one would write a shard's rows without reserve and execute.
+    """
+    return _COMPANION_NAME.fullmatch(name) is not None
+
+
+def derive_apply_program(
+    program: Program, indexes: Sequence[int] | None = None
+) -> Program:
     """The read-free companion that applies *program*'s writes on a shard.
 
     Same write-key templates in statement order, each value replaced by a
     fresh parameter (``__w0``, ``__w1``, ...) the coordinator fills with
     the *final* computed value of that statement's key — so statements
     that write the same key all carry the same value and the application
-    is idempotent per key.  Pure function of the registered program, so
-    recovery re-derives it by name when replaying a shard's WAL.
+    is idempotent per key.  *indexes* keeps only the write statements at
+    those positions, and only their value parameters, under the name
+    ``<name>@apply[i,j]``; it must be strictly ascending and name a
+    non-empty proper subset, so every subset has one name.  ``None`` keeps
+    every write, under ``<name>@apply``.  Pure function of the registered
+    program, so recovery re-derives it by name when replaying a shard's WAL.
     """
     writes = program.write_statements()
     vparams = tuple(f"{_APPLY_PARAM_PREFIX}{i}" for i in range(len(writes)))
@@ -218,25 +239,83 @@ def derive_apply_program(program: Program) -> Program:
             f"{sorted(taken)}; {_APPLY_PARAM_PREFIX}* is reserved for "
             "cross-shard apply programs"
         )
-    statements = tuple(
-        WriteStmt(stmt.key, Param(vparams[i])) for i, stmt in enumerate(writes)
-    )
+    name = program.name + APPLY_SUFFIX
+    if indexes is None:
+        indexes = range(len(writes))
+    else:
+        indexes = tuple(indexes)
+        if (
+            not indexes
+            or list(indexes) != sorted(set(indexes))
+            or not set(indexes) < set(range(len(writes)))
+        ):
+            raise ReproError(
+                f"write positions {list(indexes)} are not a strictly "
+                f"ascending proper subset of {program.name!r}'s "
+                f"{len(writes)} write statement(s)"
+            )
+        name += "[" + ",".join(str(i) for i in indexes) + "]"
     return Program(
-        name=program.name + APPLY_SUFFIX,
-        params=tuple(program.params) + vparams,
-        statements=statements,
+        name=name,
+        params=tuple(program.params) + tuple(vparams[i] for i in indexes),
+        statements=tuple(
+            WriteStmt(writes[i].key, Param(vparams[i])) for i in indexes
+        ),
     )
 
 
-def with_apply_programs(programs: Mapping[str, Program]) -> dict[str, Program]:
-    """A program map extended with every derivable apply companion."""
-    extended = dict(programs)
-    for program in list(programs.values()):
-        if program.name.endswith(APPLY_SUFFIX):
-            continue
-        companion = derive_apply_program(program)
-        extended.setdefault(companion.name, companion)
-    return extended
+class ApplyCompanions(Mapping):
+    """A program registry that also answers every apply companion name.
+
+    Iterates, and counts, only the registered programs.  A companion name
+    is derived from its base program on first lookup and cached, so replay
+    never enumerates the subsets a program's writes could split into, and
+    WAL records written before subsets existed (``<name>@apply`` on every
+    participant) replay as they always did.  *programs* is shared, not
+    copied: programs registered later are visible.
+    """
+
+    def __init__(self, programs: dict[str, Program]):
+        self.programs = programs
+        self._derived: dict[tuple[str, tuple[int, ...] | None], Program] = {}
+
+    def companion(
+        self, program: Program, indexes: tuple[int, ...] | None = None
+    ) -> Program:
+        """*program*'s companion over the writes at *indexes* (None: all)."""
+        # Shard recoveries look up concurrently without a lock: two threads
+        # racing on one key each derive it, and the two programs are equal.
+        key = (program.name, indexes)
+        companion = self._derived.get(key)
+        if companion is None:
+            companion = self._derived[key] = derive_apply_program(program, indexes)
+        return companion
+
+    def __getitem__(self, name: str) -> Program:
+        program = self.programs.get(name)
+        if program is not None:
+            return program
+        match = _COMPANION_NAME.fullmatch(name)
+        base = self.programs.get(match["base"]) if match else None
+        if base is None:
+            raise KeyError(name)
+        indexes = match["indexes"]
+        try:
+            companion = self.companion(
+                base,
+                None if indexes is None else tuple(map(int, indexes.split(","))),
+            )
+        except ReproError as exc:
+            raise KeyError(name) from exc
+        if companion.name != name:  # a non-canonical spelling, e.g. "[01]"
+            raise KeyError(name)
+        return companion
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.programs)
+
+    def __len__(self) -> int:
+        return len(self.programs)
 
 
 class _PendingCall:
@@ -329,11 +408,12 @@ class ShardedSession:
         self._next_id = max(s._next_id for s in self.shards)
         self._pending: list[_PendingCall] = []
         self.last_result: BatchResult | None = None
-        # Aggregate program registry (apply companions included): what the
-        # service advertises and recovery replays against.
+        # Aggregate program registry: what the service advertises.  Apply
+        # companions are derived over it on demand and never enter it.
         self._programs: dict[str, Program] = {}
         for shard in self.shards:
             self._programs.update(shard._programs)
+        self._companions = ApplyCompanions(self._programs)
         # The cross-shard intent journal (None without durability): every
         # cross-round's apply plan is made durable here before any shard
         # flushes it, which is what makes cross-shard atomicity survive a
@@ -453,8 +533,9 @@ class ShardedSession:
         shard in parallel threads through :meth:`LitmusSession.recover` —
         so each shard cross-checks its rebuilt digest against its own
         journaled history exactly as unsharded recovery does.  *programs*
-        needs only the application's programs; the ``@apply`` companions
-        the cross-shard path journaled are re-derived automatically.
+        needs only the application's programs; the apply companions the
+        cross-shard path journaled are derived from their names as replay
+        looks them up.
 
         Layout damage (a missing or renamed ``shard-NN`` directory, an
         intent journal naming more shards than the directory holds) and
@@ -464,7 +545,7 @@ class ShardedSession:
         """
         registry = registry if registry is not None else get_metrics()
         tracer = tracer if tracer is not None else get_tracer()
-        program_map = with_apply_programs(as_program_map(programs))
+        program_map = ApplyCompanions(dict(as_program_map(programs)))
         shard_dirs, intents = read_sharded_layout(directory)
 
         # -- in-doubt cross-shard resolution (before any shard replays) ------
@@ -544,7 +625,7 @@ class ShardedSession:
         for decision in decisions:
             record = decision.record
             if decision.action == ROLL_FORWARD:
-                session._roll_forward_round(record, decision.applied, program_map)
+                session._roll_forward_round(record, decision.applied)
                 journal.log_resolution(record.round_id, "committed", decision.reason)
             elif decision.action in (ABORT, TRUNCATE_ABORT):
                 for index in record.participants:
@@ -568,27 +649,29 @@ class ShardedSession:
         return session
 
     def _roll_forward_round(
-        self,
-        record: IntentRecord,
-        applied: Sequence[int],
-        program_map: Mapping[str, Program],
+        self, record: IntentRecord, applied: Sequence[int]
     ) -> None:
-        """Re-apply a partially applied round on its missing participants."""
+        """Re-apply a partially applied round on its missing participants.
+
+        Each missing participant gets the companion the live round gave it,
+        re-derived from the journaled parameters and the ShardMap.
+        """
         for txn in record.txns:
-            # recover() extended program_map with every derivable companion
-            apply_program = program_map.get(txn.program + APPLY_SUFFIX)
-            if apply_program is None:
+            program = self._programs.get(txn.program)
+            if program is None:
                 raise RecoveryError(
                     f"cannot roll forward cross-shard round "
                     f"{record.round_id}: program {txn.program!r} was not "
                     "supplied to recover()"
                 )
+            applies = self._owned_applies(program, txn.params)
             for index in txn.shards:
                 if index not in applied:
+                    companion, params = applies[index]
                     self.shards[index].submit_call(
                         txn.user,
-                        apply_program,
-                        txn.params,
+                        companion,
+                        params,
                         txn_id=txn.txn_id,
                         auto_flush=False,
                     )
@@ -625,7 +708,7 @@ class ShardedSession:
 
     def submit(self, user: str, program: Program, **params: int) -> UserTicket:
         """Enqueue one call; routing happens at flush time."""
-        if program.name.endswith(APPLY_SUFFIX):
+        if is_apply_companion(program.name):
             raise ReproError(
                 f"{program.name!r} is an internal apply program; submit the "
                 "original program instead"
@@ -820,24 +903,20 @@ class ShardedSession:
         (in-doubt) intent when a crash killed the fan-out mid-flight.
         """
         involved: set[int] = set()
-        per_call: list[
-            tuple[_PendingCall, tuple[int, ...], Program, dict, set[int]]
-        ] = []
+        # (call, outputs, journaled apply parameters, shard -> its apply)
+        per_call: list[tuple[_PendingCall, tuple[int, ...], dict, dict]] = []
         for call in calls:
             # Owner-routed execution against the current (pre-round) state:
             # every read goes to the shard that owns the key.
             result = call.program.execute(call.params, self._owner_read)
             final_values = dict(result.writes)
-            apply_program = self._apply_program_for(call.program)
             apply_params = dict(call.params)
             for index, stmt in enumerate(call.program.write_statements()):
                 key = stmt.key.resolve(call.params)
                 apply_params[f"{_APPLY_PARAM_PREFIX}{index}"] = final_values[key]
-            shards = self.shard_map.shards_of(final_values)
-            involved |= shards
-            per_call.append(
-                (call, result.outputs, apply_program, apply_params, shards)
-            )
+            applies = self._owned_applies(call.program, apply_params)
+            involved |= applies.keys()
+            per_call.append((call, result.outputs, apply_params, applies))
 
         # Phase 1 (prepare): make the intent durable before any shard
         # flush.  After this write a crash anywhere in the fan-out leaves
@@ -854,21 +933,22 @@ class ShardedSession:
                         user=call.ticket.user,
                         program=call.program.name,
                         params=apply_params,
-                        shards=tuple(sorted(shards)),
+                        shards=tuple(sorted(applies)),
                     )
-                    for call, _outputs, _program, apply_params, shards in per_call
+                    for call, _outputs, apply_params, applies in per_call
                 ),
                 participants,
                 {i: self.shards[i]._batch_seq for i in participants},
                 {i: int(self.shards[i].client.digest) for i in participants},
             )
 
-        for call, _outputs, apply_program, apply_params, shards in per_call:
-            for shard_index in sorted(shards):
+        for call, _outputs, _params, applies in per_call:
+            for shard_index in sorted(applies):
+                companion, params = applies[shard_index]
                 self.shards[shard_index].submit_call(
                     call.ticket.user,
-                    apply_program,
-                    apply_params,
+                    companion,
+                    params,
                     txn_id=call.ticket.txn_id,
                     auto_flush=False,
                 )
@@ -895,7 +975,7 @@ class ShardedSession:
                 # Cancelled, not failed: tickets stay unresolved so the
                 # outer flush() re-queues the calls for a later retry.
                 raise
-            for call, _outputs, _program, _params, _shards in per_call:
+            for call, _outputs, _params, _applies in per_call:
                 if not call.ticket.resolved:
                     call.ticket._resolve(
                         False, (), f"cross-shard round failed: {exc}"
@@ -912,9 +992,9 @@ class ShardedSession:
         while True:
             grown = {
                 index
-                for _call, _o, _p, _ap, shards in per_call
-                if shards & tainted
-                for index in shards
+                for _call, _o, _p, applies in per_call
+                if applies.keys() & tainted
+                for index in applies
             }
             if grown <= tainted:
                 break
@@ -922,10 +1002,10 @@ class ShardedSession:
         self._compensate(sorted(tainted - failed))
 
         reasons = [f"shard {i}: {results[i].reason}" for i in sorted(failed)]
-        for call, call_outputs, _program, _params, shards in per_call:
-            bad = shards & tainted
+        for call, call_outputs, _params, applies in per_call:
+            bad = applies.keys() & tainted
             if bad:
-                direct = shards & failed
+                direct = applies.keys() & failed
                 call.ticket._resolve(
                     False,
                     (),
@@ -961,13 +1041,37 @@ class ShardedSession:
     def _owner_read(self, key: tuple) -> int:
         return self.shards[self.shard_map.shard_of(key)].server.db.get(key)
 
-    def _apply_program_for(self, program: Program) -> Program:
-        name = program.name + APPLY_SUFFIX
-        apply_program = self._programs.get(name)
-        if apply_program is None:
-            apply_program = derive_apply_program(program)
-            self._programs[name] = apply_program
-        return apply_program
+    def _owned_applies(
+        self, program: Program, apply_params: Mapping[str, int]
+    ) -> dict[int, tuple[Program, dict]]:
+        """Each participant's apply companion and parameters for one call.
+
+        A shard gets only the write statements whose resolved key it owns,
+        and none of the other statements' value parameters.  *apply_params*
+        is the call's parameters plus every ``__w<i>``, as the intent
+        journal holds them, so the live round and a roll-forward at
+        recovery derive the same applies.
+        """
+        writes = program.write_statements()
+        owned: dict[int, list[int]] = {}
+        for index, stmt in enumerate(writes):
+            shard = self.shard_map.shard_of(stmt.key.resolve(apply_params))
+            owned.setdefault(shard, []).append(index)
+        applies = {}
+        for shard, indexes in owned.items():
+            whole = len(indexes) == len(writes)
+            foreign = {
+                f"{_APPLY_PARAM_PREFIX}{i}"
+                for i in range(len(writes))
+                if i not in indexes
+            }
+            applies[shard] = (
+                self._companions.companion(
+                    program, None if whole else tuple(indexes)
+                ),
+                {k: v for k, v in apply_params.items() if k not in foreign},
+            )
+        return applies
 
     def _parallel_flush(
         self, shard_indexes: list[int], deadline: float | None

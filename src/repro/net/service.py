@@ -62,7 +62,7 @@ from typing import Callable, Iterable, Mapping
 
 from ..core.api import DigestVector
 from ..core.session import LitmusSession
-from ..core.sharding import ShardedSession
+from ..core.sharding import ShardedSession, is_apply_companion
 from ..errors import (
     ConnectionLost,
     DeadlineExceeded,
@@ -196,11 +196,18 @@ class LitmusService:
         self.channel = channel
         self.on_op = on_op
         if isinstance(programs, Mapping):
-            self.programs = dict(programs)
+            registered = dict(programs)
         else:
-            self.programs = {program.name: program for program in programs}
+            registered = {program.name: program for program in programs}
         # Programs the session learned before the service wrapped it.
-        self.programs.update(session._programs)
+        registered.update(session._programs)
+        # Cross-shard apply companions are never advertised: a client that
+        # could name one would write rows without reserve and execute.
+        self.programs = {
+            name: program
+            for name, program in registered.items()
+            if not is_apply_companion(name)
+        }
         self.address: tuple[str, int] | None = None
         self._listener: socket.socket | None = None
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_limit)

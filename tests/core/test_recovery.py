@@ -11,6 +11,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.recovery import (
@@ -287,14 +289,14 @@ class TestReadDurableState:
         (segment,) = list_segments(directory)
         with open(segment, "r+b") as handle:
             handle.truncate(handle.seek(0, 2) - 3)  # tear the last record
-        size = len(open(segment, "rb").read())
+        size = os.path.getsize(segment)
         registry = MetricsRegistry()
         state = read_durable_state(directory, repair=False, registry=registry)
         assert [r.seq for r in state.records] == [1, 2]
         assert state.scan.truncations == 1
-        assert len(open(segment, "rb").read()) == size
+        assert os.path.getsize(segment) == size
         assert registry.counter("wal.torn_tail_truncated").value == 0
         state = read_durable_state(directory, repair=True, registry=registry)
         assert [r.seq for r in state.records] == [1, 2]
-        assert len(open(segment, "rb").read()) < size
+        assert os.path.getsize(segment) < size
         assert registry.counter("wal.torn_tail_truncated").value == 1

@@ -9,7 +9,10 @@ keeps one constant-size digest per shard.
 
 from __future__ import annotations
 
+import itertools
 import os
+import sys
+import threading
 
 import pytest
 
@@ -20,7 +23,12 @@ from repro.core import (
     ShardMap,
     ShardedSession,
 )
-from repro.core.sharding import APPLY_SUFFIX, derive_apply_program
+from repro.core.sharding import (
+    APPLY_SUFFIX,
+    ApplyCompanions,
+    derive_apply_program,
+    is_apply_companion,
+)
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.vc.program import (
@@ -123,6 +131,68 @@ class TestApplyPrograms:
         writes = dict(result.writes)
         assert writes == {("acct", 0): 95, ("acct", 1): 105}
 
+    def test_subset_companion_keeps_only_its_statements(self):
+        apply = derive_apply_program(TRANSFER, (1,))
+        assert apply.name == TRANSFER.name + APPLY_SUFFIX + "[1]"
+        assert apply.params == ("src", "dst", "amount", "__w1")
+        result = apply.execute(
+            {"src": 0, "dst": 1, "amount": 5, "__w1": 105}, lambda key: 0
+        )
+        assert dict(result.writes) == {("acct", 1): 105}
+
+    @pytest.mark.parametrize("indexes", [(), (0, 1), (1, 0), (0, 0), (2,), (-1,)])
+    def test_non_canonical_subsets_are_rejected(self, indexes):
+        # one name per subset: ascending, non-empty, proper, in range
+        with pytest.raises(ReproError):
+            derive_apply_program(TRANSFER, indexes)
+
+    def test_registry_derives_companions_by_name_on_lookup(self):
+        registry = ApplyCompanions({TRANSFER.name: TRANSFER})
+        assert list(registry) == [TRANSFER.name] and len(registry) == 1
+        for suffix, indexes in (("", None), ("[0]", (0,)), ("[1]", (1,))):
+            name = TRANSFER.name + APPLY_SUFFIX + suffix
+            assert name in registry
+            assert registry[name] == derive_apply_program(TRANSFER, indexes)
+            assert registry[name] is registry[name]  # derived once
+        # lookups never grow what the registry iterates
+        assert list(registry) == [TRANSFER.name]
+        for name in ("[01]", "[1,0]", "[0,1]", "[2]", "[]", "x"):
+            assert TRANSFER.name + APPLY_SUFFIX + name not in registry
+        assert "other" + APPLY_SUFFIX not in registry
+
+    def test_concurrent_lookups_agree(self):
+        # Every shard's replay thread looks companions up in one registry.
+        writes = tuple(
+            WriteStmt(KeyTemplate(("k", i)), Param("v")) for i in range(4)
+        )
+        program = Program(name="wide", params=("v",), statements=writes)
+        registry = ApplyCompanions({program.name: program})
+        names = [program.name + APPLY_SUFFIX] + [
+            f"{program.name}{APPLY_SUFFIX}[{','.join(map(str, subset))}]"
+            for size in (1, 2, 3)
+            for subset in itertools.combinations(range(4), size)
+        ]
+        seen: list[list] = [[] for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda out: out.extend(registry[n] for n in names),
+                    args=(seen[i],),
+                )
+                for i in range(len(seen))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(found == [registry[n] for n in names] for found in seen)
+        assert [c.name for c in seen[0]] == names
+
     def test_param_collision_is_rejected(self):
         bad = Program(
             name="bad",
@@ -190,6 +260,20 @@ class TestShardedSession:
             apply = derive_apply_program(TRANSFER)
             with pytest.raises(ReproError):
                 session.submit("u", apply, src=0, dst=1, amount=1, __w0=0, __w1=0)
+            # owned-subset companions, and any name of that shape, too:
+            # submitting one would skip reserve and execute
+            lookalike = Program(
+                name="free-money" + APPLY_SUFFIX + "[0]",
+                params=("dst", "__w0"),
+                statements=(
+                    WriteStmt(KeyTemplate(("acct", Param("dst"))), Param("__w0")),
+                ),
+            )
+            for program in (derive_apply_program(TRANSFER, (1,)), lookalike):
+                assert is_apply_companion(program.name)
+                with pytest.raises(ReproError, match="internal apply program"):
+                    session.submit("u", program, src=0, dst=1, amount=1, __w0=9, __w1=9)
+            assert session.queued == 0
         finally:
             session.close()
 

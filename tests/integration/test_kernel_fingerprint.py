@@ -11,16 +11,20 @@ mismatch means a certificate or a digest changed, which no performance
 change may do.
 
 The YCSB tables never prove a key absent, so a second case runs seeded
-transfers over four shards with one call in four crossing shards: every
-cross-shard apply blind-inserts keys its shard does not own, which pins the
-non-membership (Bezout) proofs, their negative generator exponents and the
-batched PoE challenges.  Certificates are hashed per shard, because the
-shards certify in parallel threads.
+transfers on one engine into accounts that were never written: every call
+reads and then inserts an absent key, which pins the non-membership
+(Bezout) proofs, their negative generator exponents and the batched PoE
+challenges.  A third case runs seeded transfers over four shards with one
+call in four crossing shards, which pins the cross-shard apply path.  Its
+certificates are hashed per shard, because the shards certify in
+parallel threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import random
 import sys
 
@@ -79,20 +83,36 @@ TRANSFER = Program(
     ),
 )
 INITIAL_BALANCE = 1_000_000
+
+# Unsharded transfers from BLIND_ROWS funded accounts into accounts numbered
+# from BLIND_ROWS up, each one written for the first time.
+BLIND_ROWS, BLIND_ROUNDS, BLIND_TXNS_PER_ROUND, BLIND_SEED = 256, 12, 4, 71
+
+# (sha256 over the certify_unit results, over the post-flush digests),
+# recorded at the commit where cross-shard applies still blind-inserted
+# foreign keys, so this case held the non-membership kernels before and after
+# that changed.
+EXPECTED_BLIND = (
+    "2cf5c7ce3950e1ea1751ed2d8aec4121c031cca8c5186741b61d5d4114c71f6d",
+    "2d42b24fe2b3aa129adf72f10e377697bcac250f4458230ddacf1e0c648eb456",
+)
+
 XSHARD_ROWS, XSHARD_SHARDS, XSHARD_CROSS_ONE_IN = 256, 4, 4
 XSHARD_ROUNDS, XSHARD_TXNS_PER_ROUND, XSHARD_SEED = 18, 8, 61
 
 # (sha256 over each shard's certify_unit results, over the post-flush
-# DigestVectors), recorded before negative generator exponents took the
-# fixed-base table and PoE challenge primes were memoized.
+# DigestVectors).  Re-recorded when each shard began applying only the writes
+# it owns: per-shard contents changed by design, since a cross-shard apply no
+# longer inserts the other shards' keys.  The kernels are pinned by EXPECTED
+# and EXPECTED_BLIND, which did not move.
 EXPECTED_SHARDED = (
     (
-        "e9d0f30be7a203d90184b15170dbcf3916ef89df291d3e88d90262d8e2c0a639",
-        "9fd74838b10b0d244585a16e56f8802657c0b656a1b9910d755c73d194c18336",
-        "44d2e89eaa37f4d0693cfc8dfc599457afdfd6268179d5ed3c8d5f9ec0d05bcc",
-        "3136dfcba12ae80a428dd426d116ae11ba06c93832356a4b68525ebf85858c5a",
+        "0253ad93b26bdb154eecb8e696c5512d72ac4d9dae7bb718d06af54e52415841",
+        "7651ea9d4070a347d6d2378ed4a77afee499e0aac0a94321ed890ddf3d488731",
+        "cb4153a599903afd583d2b717af98d067619b051b72f22c4a1cf7ea59625fce9",
+        "e68bb94467be713d45a1cd667f604ea89136dd08d92fc9f1bf84f60b09d6aa03",
     ),
-    "6d2d40354821286d8549ebf65b0c0e9a5e4cc90b0354628dd6b289ef9a6e10c0",
+    "e9feba61ea5ce102c90fe29716096beb10ae0f2059c03e42829511af5953b42f",
 )
 
 
@@ -130,6 +150,58 @@ def fingerprint(rows: int, group: RSAGroup, monkeypatch) -> tuple[str, str]:
 @pytest.mark.parametrize("rows", sorted(EXPECTED))
 def test_outputs_match_the_pinned_fingerprint(rows, e2e_group, monkeypatch):
     assert fingerprint(rows, e2e_group, monkeypatch) == EXPECTED[rows]
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """The Bezout coefficients in a certificate's repr run past CPython's
+    default 4,300-digit limit on int-to-str conversion."""
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
+
+
+def blind_fingerprint(group: RSAGroup, monkeypatch) -> tuple[str, str]:
+    """Run transfers into never-written accounts; returns the two hex digests."""
+    certificates = hashlib.sha256()
+    certify_unit = MemoryIntegrityProvider.certify_unit
+
+    def recording(self, reads, writes):
+        result = certify_unit(self, reads, writes)
+        certificates.update(repr(result).encode())
+        return result
+
+    monkeypatch.setattr(MemoryIntegrityProvider, "certify_unit", recording)
+    session = LitmusSession.create(
+        initial={("acct", i): INITIAL_BALANCE for i in range(BLIND_ROWS)},
+        config=LitmusConfig(**ENGINE),
+        group=group,
+    )
+    rng = random.Random(BLIND_SEED)
+    fresh = itertools.count(BLIND_ROWS)
+    digests = hashlib.sha256()
+    with unlimited_int_digits():
+        for _ in range(BLIND_ROUNDS):
+            for _ in range(BLIND_TXNS_PER_ROUND):
+                session.submit(
+                    "bank",
+                    TRANSFER,
+                    src=rng.randrange(BLIND_ROWS),
+                    dst=next(fresh),
+                    amount=rng.randint(1, 9),
+                )
+            assert session.flush().accepted
+            digests.update(repr(int(session.digest)).encode())
+    return certificates.hexdigest(), digests.hexdigest()
+
+
+def test_transfers_into_unwritten_accounts_match_the_pinned_fingerprint(
+    e2e_group, monkeypatch
+):
+    assert blind_fingerprint(e2e_group, monkeypatch) == EXPECTED_BLIND
 
 
 def transfer_calls(rng: random.Random, shard_map: ShardMap):
@@ -173,18 +245,14 @@ def sharded_fingerprint(group: RSAGroup, monkeypatch) -> tuple[tuple[str, ...], 
     monkeypatch.setattr(MemoryIntegrityProvider, "certify_unit", recording)
     calls = transfer_calls(random.Random(XSHARD_SEED), session.shard_map)
     digests = hashlib.sha256()
-    # The Bezout coefficients in a certificate's repr run past CPython's
-    # default 4,300-digit limit on int-to-str conversion.
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        for _ in range(XSHARD_ROUNDS):
-            for _ in range(XSHARD_TXNS_PER_ROUND):
-                session.submit("bank", TRANSFER, **next(calls))
-            assert session.flush().accepted
-            digests.update(repr(tuple(int(d) for d in session.digest)).encode())
+        with unlimited_int_digits():
+            for _ in range(XSHARD_ROUNDS):
+                for _ in range(XSHARD_TXNS_PER_ROUND):
+                    session.submit("bank", TRANSFER, **next(calls))
+                assert session.flush().accepted
+                digests.update(repr(tuple(int(d) for d in session.digest)).encode())
     finally:
-        sys.set_int_max_str_digits(digit_limit)
         session.close()
     return tuple(c.hexdigest() for c in certificates), digests.hexdigest()
 

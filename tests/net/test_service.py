@@ -695,6 +695,52 @@ class TestShardedService:
             service.shutdown()
             session.close()
 
+    def test_apply_companions_are_refused_over_the_wire(self, group):
+        """A companion writes rows with no reserve and no execute, so the
+        service must never run one a client names — neither the full
+        ``@apply`` nor an owned subset, even when the operator registered
+        it or the session derived it for a cross-shard round."""
+        from repro.core.sharding import derive_apply_program, is_apply_companion
+
+        session = self._sharded(group)
+        owner = session.shard_map.shard_of
+        src, dst = next(
+            (a, b)
+            for a in range(NUM_ACCOUNTS)
+            for b in range(NUM_ACCOUNTS)
+            if owner(("acct", a)) != owner(("acct", b))
+        )
+        session.submit("alice", TRANSFER, src=src, dst=dst, amount=5)
+        assert session.flush().accepted  # one cross-shard round in process
+        companions = [derive_apply_program(TRANSFER, i) for i in (None, (0,), (1,))]
+        service = LitmusService(
+            session,
+            programs=[TRANSFER, *companions],
+            config=ServiceConfig(num_shards=2),
+            registry=MetricsRegistry(),
+        )
+        assert list(service.programs) == ["net-transfer"]
+        host, port = service.start()
+        try:
+            digest, verified = session.digest.shards, session.batches_verified
+            client = RemoteSession(host, port, registry=MetricsRegistry())
+            for companion in companions:
+                with pytest.raises(RemoteError) as excinfo:
+                    client.submit(
+                        "mallory", companion.name,
+                        src=src, dst=dst, amount=0, __w0=10**6, __w1=10**6,
+                    )
+                assert is_apply_companion(companion.name)
+                assert excinfo.value.code in ("unknown_program", "bad_request")
+            client.flush()
+            assert session.queued == 0
+            assert session.batches_verified == verified
+            assert session.digest.shards == digest
+            client.close()
+        finally:
+            service.shutdown()
+            session.close()
+
     def test_shard_count_mismatch_fails_fast(self, group):
         from repro.errors import ReproError
 
