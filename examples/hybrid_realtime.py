@@ -51,8 +51,9 @@ def main() -> None:
 
     print(f"interactive answers (immediate): {outcome.interactive_outputs}")
     print(
-        f"interactive path: {outcome.interactive_seconds * 1e3:.2f} ms virtual; "
-        f"batch path: {outcome.batch_seconds:.2f} s virtual"
+        f"interactive path: {outcome.interactive_seconds * 1e3:.2f} ms "
+        f"(measured, plus a simulated 1 ms round trip each); "
+        f"batch path: {outcome.batch_seconds:.2f} s measured"
     )
     print(f"batched remainder verified: {outcome.batch_verdict.accepted}")
     assert outcome.accepted

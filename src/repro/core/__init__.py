@@ -8,7 +8,7 @@ Wires the substrates together exactly as Figure 1 describes:
   per-transaction units under 2PL and aggregated units under deterministic
   reservation;
 - :mod:`repro.core.server` — the server workflow (Algorithm 4) including
-  the piece dispatcher and prover-pipelining timing model (Section 7.2);
+  the piece dispatcher and the concurrent prover pool (Section 7.2);
 - :mod:`repro.core.client` — digest keeping, circuit matching, proof and
   digest-chain verification (Section 6.2);
 - :mod:`repro.core.interactive` / :mod:`repro.core.merkle_server` — the

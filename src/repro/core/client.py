@@ -116,7 +116,6 @@ class LitmusClient:
         group: RSAGroup,
         initial_digest: int,
         config: LitmusConfig | None = None,
-        cost_model=None,
         invariants: tuple = (),
         tracer: Tracer | None = None,
     ):
@@ -125,7 +124,6 @@ class LitmusClient:
         self.tracer = tracer if tracer is not None else get_tracer()
         self.digest = initial_digest
         self.compiler = CircuitCompiler()
-        self.cost_model = cost_model
         self.invariants = tuple(invariants)
         if self.config.backend == "groth16":
             self._backend = Groth16Simulator()

@@ -35,7 +35,10 @@ class LitmusConfig:
     # for every piece with the same structural hash (sound: proofs commit to
     # their own public statement).  Disable for ablation.
     reuse_proving_keys: bool = True
-    table_doublings: float = 0.0  # log2(table size / 10 GB) for the Fig 9 model
+    # Read by nothing.  Kept because checkpoints serialise asdict(config),
+    # recovery rebuilds LitmusConfig(**checkpoint.config), and the golden
+    # directories carry the field.
+    table_doublings: float = 0.0
     # Gate count of one MemCheck/MemUpdate gadget.  Part of the circuit
     # *structure* (client and server must agree), hence configuration rather
     # than a calibrated cost-model output.  The default matches the

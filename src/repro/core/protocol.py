@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "PieceResult",
@@ -18,7 +18,7 @@ def measured_fields_from_spans(
     dispatch_start: float | None = None,
 ) -> dict[str, float]:
     """Derive the ``measured_*`` columns of a :class:`TimingReport` from the
-    span tree of one verification batch.
+    span subtree of one verification batch.
 
     This is the bridge between :mod:`repro.obs` and the wire format: each
     measured field is a thin view over the spans the pipeline emitted —
@@ -67,45 +67,21 @@ def measured_fields_from_spans(
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Timing accounting of one verification batch.
+    """Measured wall-clock of one verification batch.
 
-    Two families of numbers live here:
-
-    - the **modeled** columns (``db_seconds`` … ``total_seconds``) come from
-      the calibrated cost model (:mod:`repro.sim`) and reproduce the
-      paper's absolute scale — a libsnark prover over the real constraint
-      counts;
-    - the **measured** columns (``measured_*``) are real wall-clock seconds
-      observed while this batch executed: what the Python pipeline actually
-      spent per stage, and how long the concurrent prover pool took
-      end-to-end.  ``measured_prove_wall_seconds`` < the per-piece sums
-      means pieces genuinely overlapped.  Since the observability layer
-      landed these columns are *derived from the batch's span tree* (see
-      :func:`measured_fields_from_spans`), so they agree with any exported
-      trace by construction.
-
-    ``total_seconds`` is the modeled server-side critical path (throughput =
-    txns / total); ``mean_latency_seconds`` additionally includes client
-    verification, matching the paper's latency definition (submission to
-    proof receipt).
+    Every ``measured_*`` field is real elapsed seconds observed while this
+    batch executed, derived from the batch's own span subtree (see
+    :func:`measured_fields_from_spans`), so it agrees with any exported
+    trace by construction.  Per-stage fields are sums over pieces/units;
+    the ``*_wall`` fields are elapsed time, so with a concurrent prover pool
+    ``measured_prove_wall_seconds`` below the per-piece sums demonstrates
+    real overlap.  Paper-scale modeled timings are not reported here: they
+    come from :mod:`repro.bench.model`.
     """
 
-    db_seconds: float = 0.0
-    trace_seconds: float = 0.0
-    circuit_seconds: float = 0.0
-    keygen_seconds: float = 0.0
-    prove_seconds: float = 0.0
-    verify_seconds: float = 0.0
-    output_seconds: float = 0.0
-    total_seconds: float = 0.0
-    mean_latency_seconds: float = 0.0
     num_txns: int = 0
     total_constraints: int = 0
-    proof_bytes: int = 0
     num_pieces: int = 0
-    # Measured wall-clock (real seconds, not modeled).  Per-stage fields are
-    # sums over pieces/units; the ``*_wall`` fields are elapsed time, so
-    # with a concurrent prover pool wall < sum demonstrates real overlap.
     measured_db_seconds: float = 0.0
     measured_certify_seconds: float = 0.0
     measured_circuit_seconds: float = 0.0
@@ -114,10 +90,6 @@ class TimingReport:
     measured_prove_seconds: float = 0.0
     measured_prove_wall_seconds: float = 0.0
     measured_total_seconds: float = 0.0
-
-    @property
-    def throughput(self) -> float:
-        return self.num_txns / self.total_seconds if self.total_seconds > 0 else 0.0
 
     @property
     def measured_prover_work_seconds(self) -> float:
@@ -159,29 +131,6 @@ class TimingReport:
             "prove_wall": self.measured_prove_wall_seconds,
             "total_wall": self.measured_total_seconds,
         }
-
-    def breakdown(self) -> dict[str, float]:
-        """Component shares for the Fig 7 reproduction.
-
-        Stable, documented return shape: a dict with exactly the six keys
-        ``process_traces``, ``circuit_generation``, ``key_generation``,
-        ``proving``, ``verification``, ``proof_output`` — in that insertion
-        order — whose float values are fractions of the modeled total and
-        sum to 1.0 (all-zero when the report is empty).  Client code may
-        rely on the key set; new stages will be added only under new keys.
-        """
-        parts = {
-            "process_traces": self.db_seconds + self.trace_seconds,
-            "circuit_generation": self.circuit_seconds,
-            "key_generation": self.keygen_seconds,
-            "proving": self.prove_seconds,
-            "verification": self.verify_seconds,
-            "proof_output": self.output_seconds,
-        }
-        total = sum(parts.values())
-        if total == 0:
-            return {name: 0.0 for name in parts}
-        return {name: value / total for name, value in parts.items()}
 
 
 @dataclass(frozen=True)

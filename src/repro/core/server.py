@@ -14,11 +14,12 @@ Per verification batch the server:
    threads, so earlier pieces prove **concurrently** while later pieces are
    still being certified;
 4. collects piece results in piece order (the response is identical to a
-   serial run — only wall-clock changes), and reports both the calibrated
-   cost-model timing *and* the measured wall-clock per stage.
+   serial run — only wall-clock changes), and reports the wall-clock it
+   measured per stage.
 
-Everything cryptographic is real; the modeled columns of the timing report
-are virtual, the ``measured_*`` columns are actual elapsed seconds.
+Everything cryptographic is real, and every timing the server reports is
+elapsed seconds read off the batch's span tree.  Paper-scale modeled
+numbers come from :mod:`repro.bench.model`, never from a live batch.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from ..crypto.rsa_group import RSAGroup
 from ..errors import ProofCorruptionDetected, ProverKilled, ReproError
 from ..obs.metrics import get_metrics
 from ..obs.spans import Span, Tracer, get_tracer
-from ..sim.costmodel import CostModel
-from ..sim.scheduler import ProverTask, schedule_tasks
 from ..vc.circuit import Circuit
 from ..vc.compiler import CircuitCompiler
 from ..vc.snark import Groth16Simulator, SetupCache
@@ -94,7 +93,6 @@ class LitmusServer:
         initial: Mapping[tuple, int] | None = None,
         config: LitmusConfig | None = None,
         group: RSAGroup | None = None,
-        cost_model: CostModel | None = None,
         invariants: tuple = (),
         tracer: Tracer | None = None,
         fault_plan=None,
@@ -131,13 +129,9 @@ class LitmusServer:
         self._setup = (
             SetupCache(self.backend) if self.config.reuse_proving_keys else self.backend
         )
-        self.cost_model = cost_model
         self.invariants = tuple(invariants)
         # Exposed so the client can fetch circuits for spot-check verification.
         self.last_circuits: dict[int, object] = {}
-        # Cost model recalibrated from the last batch's measured wall-clock
-        # (None until a batch ran); lets benchmarks report modeled vs real.
-        self.measured_cost_model: CostModel | None = None
         # Pre-batch state snapshot (store contents + provider AD state),
         # captured at the top of every execute_batch so a rejected or
         # crashed batch can be rolled back (see rollback()).
@@ -212,7 +206,6 @@ class LitmusServer:
         initial_digest = self.provider.digest
         dispatch_start: float | None = None
         piece_results: list[PieceResult] = []
-        prover_tasks: list[ProverTask] = []
         total_constraints = 0
 
         span_attrs = {"num_txns": len(txns), "cc": self.config.cc}
@@ -221,20 +214,7 @@ class LitmusServer:
         with tracer.span("batch", **span_attrs) as batch_span:
             with tracer.span("execute", cc=self.config.cc):
                 report = self.db.run(txns)
-
-            cost_model = self._resolve_cost_model()
-            db_seconds = cost_model.db_seconds(
-                len(txns),
-                self.config.cc,
-                contention_factor=self._contention_factor(report),
-            )
-            trace_seconds = cost_model.trace_seconds(
-                report.stats.reads + report.stats.writes,
-                table_doublings=self.config.table_doublings,
-            )
             size = self.config.batches_per_piece
-            num_pieces = max(1, -(-len(report.schedule) // size))
-            serial_per_piece = (db_seconds + trace_seconds) / num_pieces
 
             # -- the pipeline: serial certification feeding concurrent provers --
             pieces: list[WrappedPiece] = []
@@ -319,17 +299,8 @@ class LitmusServer:
             # -- assemble the response (identical to a serial run) ---------------
             with tracer.span("respond", pieces=len(pieces)):
                 self.last_circuits.clear()
-                release = 0.0
                 for piece, result in zip(pieces, results):
                     total_constraints += result.constraints
-                    release += serial_per_piece
-                    prover_tasks.append(
-                        ProverTask(
-                            cost_seconds=cost_model.piece_seconds(result.constraints),
-                            release_seconds=release,
-                            txn_count=len(piece.txn_ids()),
-                        )
-                    )
                     piece_results.append(
                         PieceResult(
                             piece_index=piece.piece_index,
@@ -355,20 +326,17 @@ class LitmusServer:
         metrics.counter("server.batches").inc()
         metrics.counter("server.pieces").inc(len(pieces))
 
-        # Every measured_* column of the report is a view over the span tree
-        # this batch just produced (see DESIGN.md "Observability").
-        timing = self._timing(
-            cost_model,
-            len(txns),
-            db_seconds,
-            trace_seconds,
-            total_constraints,
-            prover_tasks,
-            measured=measured_fields_from_spans(
-                tracer.spans_in(batch_span.root_id), dispatch_start=dispatch_start
+        # Every measured_* column of the report is a view over the subtree
+        # this batch just produced (see DESIGN.md "Observability"); a caller's
+        # enclosing span may hold earlier batches in the same tree.
+        timing = TimingReport(
+            num_txns=len(txns),
+            total_constraints=total_constraints,
+            num_pieces=len(pieces),
+            **measured_fields_from_spans(
+                tracer.subtree(batch_span), dispatch_start=dispatch_start
             ),
         )
-        self.measured_cost_model = cost_model.recalibrated_from_measured(timing)
         return ServerResponse(
             pieces=tuple(piece_results),
             initial_digest=initial_digest,
@@ -441,61 +409,6 @@ class LitmusServer:
             proof=proof,
             public_values=tuple(public_values),
             constraints=circuit.total_constraints,
-        )
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _contention_factor(self, report) -> float:
-        """Retry overhead measured from the real CC run (drives Fig 8)."""
-        committed = max(1, report.stats.committed)
-        return 1.0 + report.stats.aborted_retries / committed
-
-    def _resolve_cost_model(self) -> CostModel:
-        if self.cost_model is not None:
-            return self.cost_model
-        # Calibrate lazily against a compiled representative circuit: use the
-        # mean template size of everything compiled so far, else a default.
-        templates = getattr(self.compiler, "_cache", {})
-        if templates:
-            sizes = [t.total_constraints for t in templates.values()]
-            representative = max(1, sum(sizes) // len(sizes))
-        else:
-            representative = 100
-        self.cost_model = CostModel.calibrated(representative)
-        return self.cost_model
-
-    def _timing(
-        self,
-        cost_model: CostModel,
-        num_txns: int,
-        db_seconds: float,
-        trace_seconds: float,
-        total_constraints: int,
-        prover_tasks: list[ProverTask],
-        measured: Mapping[str, float] | None = None,
-    ) -> TimingReport:
-        keygen_total = total_constraints * cost_model.keygen_per_constraint
-        prove_total = total_constraints * cost_model.prove_per_constraint
-        fixed_total = len(prover_tasks) * cost_model.piece_fixed_seconds
-        schedule = schedule_tasks(prover_tasks, self.config.num_provers)
-        total = max(db_seconds + trace_seconds, schedule.makespan_seconds)
-        mean_completion = schedule.txn_weighted_mean_completion(prover_tasks)
-        return TimingReport(
-            db_seconds=db_seconds,
-            trace_seconds=trace_seconds,
-            circuit_seconds=total_constraints * cost_model.circuit_gen_per_constraint,
-            keygen_seconds=keygen_total + fixed_total / 2,
-            prove_seconds=prove_total + fixed_total / 2,
-            verify_seconds=cost_model.verify_seconds,
-            output_seconds=cost_model.output_seconds,
-            total_seconds=total,
-            mean_latency_seconds=mean_completion + cost_model.verify_seconds,
-            num_txns=num_txns,
-            total_constraints=total_constraints,
-            num_pieces=len(prover_tasks),
-            proof_bytes=cost_model.proof_bytes_per_prover
-            * min(self.config.num_provers, max(1, len(prover_tasks))),
-            **(measured or {}),
         )
 
 

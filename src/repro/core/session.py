@@ -101,7 +101,6 @@ from ..errors import (
 from ..obs.exporters import Exporter
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.spans import Tracer, get_tracer
-from ..sim.costmodel import CostModel
 from ..vc.program import Program
 from .api import DigestVector
 from .checkpoint import DigestLog
@@ -414,7 +413,6 @@ class LitmusSession:
         initial: Mapping[tuple, int] | None = None,
         config: LitmusConfig | None = None,
         group: RSAGroup | None = None,
-        cost_model: CostModel | None = None,
         invariants: tuple = (),
         max_batch: int = 1024,
         tracer: Tracer | None = None,
@@ -439,7 +437,6 @@ class LitmusSession:
             initial=initial,
             config=config,
             group=group,
-            cost_model=cost_model,
             invariants=invariants,
             tracer=tracer,
         )
@@ -462,7 +459,6 @@ class LitmusSession:
         programs: Iterable[Program] | Mapping[str, Program] = (),
         *,
         group: RSAGroup | None = None,
-        cost_model: CostModel | None = None,
         invariants: tuple = (),
         max_batch: int = 1024,
         tracer: Tracer | None = None,
@@ -507,7 +503,6 @@ class LitmusSession:
                     expected,
                     config=LitmusConfig(**checkpoint.config),
                     group=state.group(group),
-                    cost_model=cost_model,
                     invariants=invariants,
                     tracer=tracer,
                     fault_plan=fault_plan,
@@ -682,7 +677,6 @@ class LitmusSession:
                     self.client.digest,
                     config=self.server.config,
                     group=self.server.group,
-                    cost_model=self.server.cost_model,
                     invariants=self.server.invariants,
                     tracer=self.tracer,
                     fault_plan=self.fault_plan,

@@ -195,6 +195,20 @@ class Tracer:
         with self._lock:
             return tuple(self._by_root.get(root_id, ()))
 
+    def subtree(self, span: Span) -> tuple[SpanRecord, ...]:
+        """The finished spans of *span* and its descendants, oldest first.
+
+        Narrower than :meth:`spans_in` when *span* is not a root: batches run
+        under one caller's span all share that caller's tree.  Span ids are
+        allocated in creation order, so a parent's id precedes its children's.
+        """
+        tree = self.spans_in(span.root_id)
+        inside = {span.span_id}
+        for record in sorted(tree, key=lambda r: r.span_id):
+            if record.parent_id in inside:
+                inside.add(record.span_id)
+        return tuple(r for r in tree if r.span_id in inside)
+
     def by_name(self, name: str) -> tuple[SpanRecord, ...]:
         with self._lock:
             return tuple(r for r in self._records if r.name == name)

@@ -144,35 +144,3 @@ class CostModel:
     def with_overrides(self, **kwargs) -> "CostModel":
         """A copy with selected constants replaced (ablation support)."""
         return replace(self, **kwargs)
-
-    def recalibrated_from_measured(self, timing) -> "CostModel":
-        """A copy whose prover rates come from *measured* wall-clock.
-
-        *timing* is any object carrying the ``measured_*`` stage fields and
-        ``total_constraints`` of a real batch (duck-typed so the simulation
-        layer does not import the wire protocol).  The per-constraint keygen
-        rate is pinned by the measured trusted-setup seconds, the proving
-        rate by measured witness generation (honest replay) plus proving,
-        and the per-piece fixed cost by the measured circuit-build time.
-        The result predicts *this machine's* pipeline instead of the
-        paper's testbed — feeding real wall-clock back into the Fig 5/6
-        models.
-        """
-        constraints = getattr(timing, "total_constraints", 0)
-        if constraints < 1:
-            return self
-        setup = getattr(timing, "measured_setup_seconds", 0.0)
-        prove = getattr(timing, "measured_prove_seconds", 0.0) + getattr(
-            timing, "measured_replay_seconds", 0.0
-        )
-        if setup <= 0.0 and prove <= 0.0:
-            return self
-        pieces = max(1, getattr(timing, "num_pieces", 0))
-        circuit_build = getattr(timing, "measured_circuit_seconds", 0.0)
-        return replace(
-            self,
-            keygen_per_constraint=setup / constraints,
-            prove_per_constraint=prove / constraints,
-            piece_fixed_seconds=circuit_build / pieces,
-            circuit_gen_per_constraint=circuit_build / constraints,
-        )

@@ -132,17 +132,6 @@ class TestMeasuredTiming:
         }
         assert timing.measured_pipeline_speedup > 0
 
-    def test_measured_cost_model_recalibrated(self, group):
-        server, response, _ = run_batch(
-            group, 2, lambda: [increment(i, i) for i in range(1, 9)]
-        )
-        model = server.measured_cost_model
-        assert model is not None
-        expected = response.timing.measured_setup_seconds / max(
-            1, response.timing.total_constraints
-        )
-        assert model.keygen_per_constraint == expected
-
 
 class TestSetupReuse:
     def test_identical_pieces_share_one_trusted_setup(self, group):

@@ -1,4 +1,4 @@
-"""Tests for the protocol types, timing report, and consistency invariants."""
+"""Tests for the consistency invariants and config validation."""
 
 from __future__ import annotations
 
@@ -6,36 +6,9 @@ import pytest
 
 from repro.core.consistency import SumInvariant, check_invariants
 from repro.core.memory_integrity import MemoryIntegrityProvider
-from repro.core.protocol import TimingReport
 from repro.errors import ReproError
 
 PRIME_BITS = 64
-
-
-class TestTimingReport:
-    def test_throughput(self):
-        timing = TimingReport(total_seconds=2.0, num_txns=100)
-        assert timing.throughput == 50.0
-
-    def test_zero_time_is_zero_throughput(self):
-        assert TimingReport(total_seconds=0.0, num_txns=10).throughput == 0.0
-
-    def test_breakdown_normalizes(self):
-        timing = TimingReport(
-            db_seconds=1.0,
-            trace_seconds=1.0,
-            keygen_seconds=5.1,
-            prove_seconds=3.8,
-            verify_seconds=1.0,
-            output_seconds=0.1,
-        )
-        shares = timing.breakdown()
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["process_traces"] == pytest.approx(2.0 / 12.0)
-
-    def test_empty_breakdown(self):
-        shares = TimingReport().breakdown()
-        assert all(value == 0.0 for value in shares.values())
 
 
 class TestSumInvariant:

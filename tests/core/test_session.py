@@ -80,16 +80,6 @@ class TestSubmitFlush:
         result = session.flush()
         assert result.timing is not None
         assert result.timing.num_txns == 1
-        breakdown = result.timing.breakdown()
-        assert list(breakdown) == [
-            "process_traces",
-            "circuit_generation",
-            "key_generation",
-            "proving",
-            "verification",
-            "proof_output",
-        ]
-        assert sum(breakdown.values()) == pytest.approx(1.0)
         assert result.metrics["db.committed"]["value"] >= 1
         assert result.metrics["server.batches"]["value"] >= 1
 

@@ -8,7 +8,8 @@ Acceptance criteria of the obs redesign, end to end:
 - the crypto cache hit counters *increase* between two identical batches
   (the second batch re-derives the same primes and proving keys);
 - the ``measured_*`` fields of :class:`TimingReport` agree with the span
-  tree they are now derived from;
+  tree they are now derived from, and cover only their own batch when
+  several batches run under one caller's span;
 - the whole run exports as JSON lines and passes the CI schema checker.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import LitmusConfig, LitmusSession, YCSBWorkload
+from repro import LitmusConfig, LitmusServer, LitmusSession, YCSBWorkload
 from repro.obs import JsonLinesExporter, Tracer, get_metrics, read_jsonl, stage_totals
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -59,15 +60,18 @@ def _submit_batch(session: LitmusSession, workload: YCSBWorkload) -> None:
         session.submit("ycsb", txn.program, **txn.params)
 
 
+def _config() -> LitmusConfig:
+    return LitmusConfig(
+        cc="dr", processing_batch_size=4, batches_per_piece=1, prime_bits=64
+    )
+
+
 @pytest.fixture()
 def session(group) -> LitmusSession:
     workload = YCSBWorkload(num_rows=32, seed=7)
-    config = LitmusConfig(
-        cc="dr", processing_batch_size=4, batches_per_piece=1, prime_bits=64
-    )
     return LitmusSession.create(
         initial=workload.initial_data(),
-        config=config,
+        config=_config(),
         group=group,
         tracer=Tracer(),
     )
@@ -160,3 +164,29 @@ class TestTwoBatchYCSB:
         pieces = len([r for r in tree if r.name == "prove_piece"])
         assert timing.num_pieces == pieces
         assert batch.attrs["num_txns"] == NUM_TXNS
+
+    def test_measured_fields_cover_only_their_own_batch(self, group):
+        # A sharded coordinator runs every cross-shard round's batches under
+        # one enclosing span, so the batches share a span tree.
+        workload = YCSBWorkload(num_rows=32, seed=7)
+        tracer = Tracer()
+        server = LitmusServer(
+            initial=workload.initial_data(), config=_config(), group=group, tracer=tracer
+        )
+        with tracer.span("outer"):
+            timings = [
+                server.execute_batch(workload.generate(4)).timing for _ in range(3)
+            ]
+
+        batches = tracer.by_name("batch")
+        assert len(batches) == 3
+        assert len({batch.root_id for batch in batches}) == 1
+        certify_units = tracer.by_name("certify_unit")
+        approx = lambda v: pytest.approx(v, rel=1e-6, abs=1e-9)
+        for timing, batch in zip(timings, batches):
+            own_certify = sum(
+                r.duration for r in certify_units if r.parent_id == batch.span_id
+            )
+            assert own_certify > 0
+            assert timing.measured_total_seconds == approx(batch.duration)
+            assert timing.measured_certify_seconds == approx(own_certify)
