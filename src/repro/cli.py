@@ -67,8 +67,9 @@ The scrubber audits a durability directory proactively::
 
     python -m repro --scrub /var/lib/litmus [--audit-only]
 
-It re-verifies every checkpoint checksum (primary *and* mirror) and every
-sealed segment's CRC framing (:mod:`repro.db.scrub`), repairs rotted
+It re-verifies every checkpoint checksum (primary *and* mirror), re-proves
+each checkpoint's accumulator from its rows, re-verifies every sealed
+segment's CRC framing (:mod:`repro.db.scrub`), repairs rotted
 checkpoints from their healthy twins, quarantines doubly-damaged pairs,
 and exits 1 when unrepaired damage remains — the signal to schedule a
 restart so recovery can truncate it.
@@ -395,7 +396,7 @@ def _recover_existing(directory: str) -> tuple[str, int]:
         lines += [
             f"  {label}checkpoint : seq {report.checkpoint_seq}",
             f"  {label}replayed   : {report.replayed_batches} batch(es) "
-            f"(tip seq {report.last_seq})",
+            f"(tip seq {report.last_seq}), {report.changed_keys} key(s) changed",
             f"  {label}repaired   : {report.truncations} torn tail(s), "
             f"{report.truncated_bytes} byte(s), "
             f"{report.dropped_segments} dropped segment(s)",
@@ -487,7 +488,8 @@ def _recover_demo(directory: str, seed: int) -> tuple[str, bool]:
     report = recovered_session.recovery_report
     lines.append(
         f"  recovery : checkpoint seq {report.checkpoint_seq}, replayed "
-        f"{report.replayed_batches} batch(es), repaired {report.truncations} "
+        f"{report.replayed_batches} batch(es) changing {report.changed_keys} "
+        f"key(s), repaired {report.truncations} "
         f"torn tail(s) ({report.truncated_bytes} bytes) in "
         f"{report.duration_seconds:.3f}s"
     )
@@ -796,7 +798,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         default=None,
         help="scrub the durability directory DIR: re-verify every "
-        "checkpoint checksum and sealed-segment CRC, repair rotted "
+        "checkpoint checksum, accumulator and sealed-segment CRC, repair rotted "
         "checkpoints from their mirrors, quarantine doubly-damaged "
         "pairs; exits 1 when unrepaired damage remains",
     )

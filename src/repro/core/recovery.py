@@ -13,9 +13,14 @@ transaction means after a crash:
    fall back to the mirror, then to older ones), a WAL scan that
    *repairs* tail damage (a torn or bit-rotted suffix is truncated away,
    never raised), and the sequence-gap check between the two;
-2. :func:`replay_and_rebuild` — base rows + command logs → a fresh
-   :class:`~repro.db.database.Database` replay → a rebuilt
-   :class:`~repro.core.server.LitmusServer` → the digest cross-check;
+2. :func:`replay_and_rebuild` — base rows + the provider's
+   ``(store, product, digest)`` anchor taken with them + command logs → a
+   fresh :class:`~repro.db.database.Database` replay → the exponent
+   product ``S'``: the anchor's own when the replay changed no row (a
+   read-only tail hashes nothing), else built from scratch → one
+   generator power → the digest cross-check against the client-verified
+   tip, whichever branch ran → a server assembled by restoring the
+   replayed rows and the rebuilt triple;
 3. :func:`resolve_in_doubt` — a pure function from the scanned cross-shard
    intent journal and the participants' durable states to one
    commit / abort / truncate-abort / roll-forward decision per in-doubt
@@ -30,6 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ..crypto.authdict import AuthenticatedDictionary
 from ..crypto.rsa_group import RSAGroup
 from ..db.commandlog import decode_batch
 from ..db.database import Database
@@ -52,6 +58,7 @@ from ..db.wal import (
 )
 from ..db.wal.intents import STATE_PENDING
 from ..errors import (
+    AnchorMismatchError,
     DurabilityError,
     RecoveryError,
     ServerDesyncError,
@@ -104,6 +111,9 @@ class RecoveryReport:
 
     - ``checkpoint_seq`` — batch sequence the loaded checkpoint covered;
     - ``replayed_batches`` — WAL records replayed past the checkpoint;
+    - ``changed_keys`` — keys whose replayed value differs from the
+      checkpoint's; when it is 0 the checkpoint's exponent product was
+      reused, otherwise the accumulator was rebuilt from scratch;
     - ``last_seq`` — the recovered tip of the durable history;
     - ``digest`` — the journaled client digest the rebuilt state matched;
     - ``truncations`` / ``truncated_bytes`` / ``dropped_segments`` — tail
@@ -129,6 +139,7 @@ class RecoveryReport:
     checkpoint_path: str = ""
     checkpoint_from_mirror: bool = False
     checkpoint_rejected: tuple[str, ...] = ()
+    changed_keys: int = 0
 
 
 @dataclass(frozen=True)
@@ -174,8 +185,11 @@ class DurableState:
             )
         return log
 
-    def report(self, digest: int, duration_seconds: float) -> RecoveryReport:
-        """The report of a recovery of this state that ended at *digest*."""
+    def report(
+        self, digest: int, changed_keys: int, duration_seconds: float
+    ) -> RecoveryReport:
+        """The report of a recovery of this state that ended at *digest*
+        after its replay changed *changed_keys* keys."""
         return RecoveryReport(
             checkpoint_seq=self.checkpoint.seq,
             replayed_batches=len(self.records),
@@ -188,6 +202,7 @@ class DurableState:
             checkpoint_path=self.selection.loaded_path,
             checkpoint_from_mirror=self.selection.used_mirror,
             checkpoint_rejected=self.selection.rejected,
+            changed_keys=changed_keys,
         )
 
 
@@ -219,25 +234,36 @@ def read_durable_state(
 
 def replay_and_rebuild(
     base_rows: Mapping[tuple, int],
+    anchor: tuple[Mapping[tuple, int], int, int],
     command_logs: Sequence[bytes],
     programs: Mapping[str, Program],
     expected_digest: int,
     *,
     config: LitmusConfig,
     **server_options,
-) -> tuple[LitmusServer, list[list[Transaction]]]:
+) -> tuple[LitmusServer, list[list[Transaction]], int]:
     """Re-derive a trusted server from *base_rows* plus verified history.
 
-    Replays every command log through a fresh
-    :class:`~repro.db.database.Database` (determinism of the CC algorithm
-    makes the log sufficient) and rebuilds the server — store *and*
-    authenticated dictionary — from the replayed contents;
-    *server_options* (``group``, ``invariants``, ``tracer``, ...) go to
-    :class:`~repro.core.server.LitmusServer` as they are.  Returns the
-    server and the decoded batches.  Raises
+    *anchor* is the provider's ``(store, product, digest)`` triple taken
+    with *base_rows*; a store that differs from *base_rows* raises
+    :class:`~repro.errors.AnchorMismatchError`.  Every command log is
+    replayed through a fresh :class:`~repro.db.database.Database`
+    (determinism of the CC algorithm makes the log sufficient), and the
+    authenticated dictionary of the replayed contents takes the anchor's
+    product when the replay changed no row and is built from scratch
+    otherwise (see :class:`~repro.crypto.authdict.AuthenticatedDictionary`).
+    The server is assembled from both; *server_options* (``group``,
+    ``invariants``, ``tracer``, ...) go to
+    :class:`~repro.core.server.LitmusServer` as they are.  Returns the server, the decoded batches and the number of
+    keys the replay changed.  Raises
     :class:`~repro.errors.ServerDesyncError` unless the rebuilt digest is
     *expected_digest*, the one the client last verified.
     """
+    if anchor[0] != base_rows:
+        raise AnchorMismatchError(
+            "the checkpoint's authenticated-dictionary rows disagree with "
+            "its store rows; refusing to recover from a split anchor"
+        )
     database = Database(
         initial=base_rows,
         cc=config.cc,
@@ -247,21 +273,26 @@ def replay_and_rebuild(
     batches = [decode_batch(log, programs) for log in command_logs]
     for txns in batches:
         database.run(txns)
-    server = LitmusServer(
-        initial=database.snapshot(), config=config, **server_options
+    contents = database.snapshot()
+    server = LitmusServer(config=config, **server_options)
+    dictionary = AuthenticatedDictionary(
+        server.group, contents, config.prime_bits, anchor=anchor[:2]
     )
     # The digest cross-check: the AD digest is a pure function of the
     # contents, so the rebuilt digest matching the client-verified one
     # proves the re-derived state is exactly what the client last
-    # acknowledged.
-    if server.digest != expected_digest:
+    # acknowledged.  It is always recomputed as g^S'; the anchor's
+    # journaled digest is never read.
+    if dictionary.digest != expected_digest:
         raise ServerDesyncError(
             "replaying the verified command log does not reproduce the "
-            f"client-verified digest (got {server.digest:#x}, expected "
+            f"client-verified digest (got {dictionary.digest:#x}, expected "
             f"{expected_digest:#x}); the history has diverged from what "
             "the client acknowledged"
         )
-    return server, batches
+    server.db.restore(contents)
+    server.provider.restore(dictionary.state())
+    return server, batches, dictionary.changed_keys
 
 
 def read_sharded_layout(directory: str) -> tuple[list[str], list[IntentRecord]]:

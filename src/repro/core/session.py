@@ -51,7 +51,9 @@ A rejected batch is not the end of the conversation.  When a
    actually verified;
 3. **resync** — replay the trusted command log (every *verified* batch
    since the last checkpoint, see :mod:`repro.db.commandlog`) against the
-   checkpoint state and rebuild the server from the re-derived contents;
+   checkpoint state and rebuild the server from the re-derived contents
+   (reusing the checkpoint's accumulator exponent when the log changed no
+   row);
    if the rebuilt digest disagrees with the client's verified digest the
    divergence is unrecoverable and :class:`~repro.errors.ServerDesyncError`
    is raised;
@@ -356,10 +358,12 @@ class LitmusSession:
         # a rejected auto-flush triggered by submit() reaching max_batch.
         self.last_result: BatchResult | None = None
         # Recovery anchors: the checkpoint state (trusted contents at the
-        # last checkpoint), the command log of verified batches since then,
+        # last checkpoint) and the provider's (store, product, digest) triple
+        # taken with it, the command log of verified batches since then,
         # the program registry replay needs, and the hash-chained history
         # of verified digests.
         self._base_state: dict[tuple, int] = server.db.snapshot()
+        self._anchor: tuple[dict, int, int] = server.provider.state()
         self._command_log: list[bytes] = []
         self._programs: dict[str, Program] = {}
         self.digest_log = DigestLog(self.client.digest)
@@ -496,8 +500,9 @@ class LitmusSession:
         digest_log = state.digest_log()
         with tracer.span("recover", batches=len(state.records)):
             try:
-                server, batches = replay_and_rebuild(
+                server, batches, changed_keys = replay_and_rebuild(
                     checkpoint.rows,
+                    checkpoint.provider_state,
                     [record.command_log for record in state.records],
                     program_map,
                     expected,
@@ -531,8 +536,11 @@ class LitmusSession:
         session._programs.update(program_map)
         duration = perf_counter() - start
         registry.counter("recovery.replayed_batches").inc(len(state.records))
+        registry.counter("recovery.changed_keys").inc(changed_keys)
         registry.histogram("recovery.duration").observe(duration)
-        session.recovery_report = state.report(session.client.digest, duration)
+        session.recovery_report = state.report(
+            session.client.digest, changed_keys, duration
+        )
         return session
 
     # -- user-facing API ---------------------------------------------------------
@@ -659,9 +667,10 @@ class LitmusSession:
         The in-memory twin of :meth:`recover`, through the same kernel
         (:func:`~repro.core.recovery.replay_and_rebuild`): the command log
         of every verified batch since the last checkpoint is replayed
-        against the checkpoint state and the rebuilt digest cross-checked
-        against the client's verified digest.  Disagreement means the
-        history itself has diverged and raises
+        against the checkpoint state, the accumulator is rebuilt (from the
+        provider triple captured with it when the log changed no row), and
+        the rebuilt digest is cross-checked against the client's verified
+        digest.  Disagreement means the history itself has diverged and raises
         :class:`~repro.errors.ServerDesyncError`.
 
         Returns the re-derived digest (== ``self.digest``).
@@ -670,8 +679,9 @@ class LitmusSession:
         self.registry.counter("session.resyncs").inc()
         with self.tracer.span("resync", batches=len(self._command_log)):
             try:
-                rebuilt, _batches = replay_and_rebuild(
+                rebuilt, _batches, _changed = replay_and_rebuild(
                     self._base_state,
+                    self._anchor,
                     self._command_log,
                     self._programs,
                     self.client.digest,
@@ -701,14 +711,14 @@ class LitmusSession:
            chain itself stays append-only — a zero-transaction entry
            re-recording the prior digest marks the compensation instead of
            rewriting history;
-        3. re-anchors the recovery state (base snapshot + empty command
-           log) and, with durability on, writes a checkpoint at the *same*
-           sequence the compensated batch journaled.  The atomic rewrite
-           replaces any applied-state checkpoint at that sequence and the
-           post-checkpoint WAL reset retires the applied record, so a
-           crash at any instant recovers to either the applied state
-           (which the coordinator's intent journal then resolves) or the
-           compensated one — never a half state.
+        3. re-anchors the recovery state (base snapshot + provider triple +
+           empty command log) and, with durability on, writes a checkpoint
+           at the *same* sequence the compensated batch journaled.  The
+           atomic rewrite replaces any applied-state checkpoint at that
+           sequence and the post-checkpoint WAL reset retires the applied
+           record, so a crash at any instant recovers to either the
+           applied state (which the coordinator's intent journal then
+           resolves) or the compensated one — never a half state.
 
         Returns the restored digest.  Raises
         :class:`~repro.errors.ClientAPIError` when there is no batch to
@@ -737,9 +747,7 @@ class LitmusSession:
                 )
             self.client.digest = previous
             self.digest_log.record(previous, 0)
-            self._base_state = self.server.db.snapshot()
-            self._command_log.clear()
-            self._write_durable_checkpoint()
+            self._checkpoint()
         self.compensations += 1
         self.registry.counter("session.compensations").inc()
         return previous
@@ -875,9 +883,16 @@ class LitmusSession:
         self.digest_log.record(self.client.digest, len(txns))
         self._command_log.append(encoded)
         if len(self._command_log) >= self.checkpoint_every:
-            self._base_state = self.server.db.snapshot()
-            self._command_log.clear()
-            self._write_durable_checkpoint()
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Re-anchor recovery on the current state: the server's rows and
+        provider triple become the checkpoint, the command log empties, and
+        with durability on the checkpoint lands on disk."""
+        self._base_state = self.server.db.snapshot()
+        self._anchor = self.server.provider.state()
+        self._command_log.clear()
+        self._write_durable_checkpoint()
 
     def _write_durable_checkpoint(self) -> None:
         """Mirror the in-memory checkpoint as an atomic on-disk one."""
@@ -886,8 +901,8 @@ class LitmusSession:
         self._manager.checkpoint(
             seq=self._batch_seq,
             digest=self.client.digest,
-            rows=self.server.db.snapshot(),
-            provider_state=self.server.provider.state(),
+            rows=self._base_state,
+            provider_state=self._anchor,
             next_txn_id=self._next_id,
             config=asdict(self.server.config),
             group_modulus=self.server.group.modulus,

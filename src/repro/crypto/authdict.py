@@ -98,18 +98,33 @@ class AuthenticatedDictionary:
         group: RSAGroup,
         initial: Mapping[object, object] | None = None,
         prime_bits: int = DEFAULT_PRIME_BITS,
+        anchor: tuple[Mapping[object, object], int] | None = None,
     ):
+        """The dictionary holding *initial*, its digest ``g^S`` formed by one
+        generator power over the product-tree exponent ``S``.
+
+        *anchor* is a ``(store, product)`` pair, the first two fields of
+        :meth:`state`.  When its store holds exactly *initial*, its product
+        is ``S`` and nothing is hashed; otherwise ``S`` is built from
+        scratch.  The digest is always recomputed from ``S``.
+        ``changed_keys`` counts the keys whose value differs from the
+        anchor's (every key without one).
+        """
         self.group = group
         self.prime_bits = prime_bits
-        self._store: dict[object, object] = {}
-        self._product = 1
-        self._digest = group.generator
+        self._store: dict[object, object] = dict(initial) if initial else {}
         # (touched keys T, B) while a batch holds a shared base; see
         # share_base.  Never part of state(): it is derived, not state.
         self._shared: tuple[frozenset, int] | None = None
-        if initial:
-            for key, value in initial.items():
-                self._insert(key, value)
+        base = anchor[0] if anchor is not None else {}
+        self.changed_keys = sum(
+            value != base.get(key) for key, value in self._store.items()
+        )
+        if anchor is not None and base == self._store:
+            self._product = anchor[1]
+        else:
+            self._product = self.lookup_exponent(self._store)
+        self._digest = group.power(group.generator, self._product)
 
     # -- internal helpers ---------------------------------------------------
     #
@@ -146,13 +161,6 @@ class AuthenticatedDictionary:
         if remainder:
             raise CryptoError("internal state corrupt: product mismatch")
         return quotient
-
-    def _insert(self, key: object, value: object) -> None:
-        self._shared = None
-        h = self._h(key, value)
-        self._product *= h
-        self._digest = self.group.power(self._digest, h)
-        self._store[key] = value
 
     # -- state accessors ------------------------------------------------------
 
@@ -207,8 +215,7 @@ class AuthenticatedDictionary:
         most ``|T|`` representatives instead of the whole table.  That is
         the same group element ``g^(S / prod_K h_k)`` the from-scratch path
         computes.  Anything that could change a key outside *T* drops the
-        base: :meth:`restore`, :meth:`_insert`, and an :meth:`update` not
-        contained in *T*.
+        base: :meth:`restore` and an :meth:`update` not contained in *T*.
         """
         touched = frozenset(keys)
         rest = self._divide_out(key for key in touched if key in self._store)

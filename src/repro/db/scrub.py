@@ -16,7 +16,13 @@ finds it early, while redundancy still exists:
   need the cross-segment sequence chain, which is recovery's job
   (:func:`~repro.db.wal.segments.scan_wal`);
 - **intent journal** — the cross-shard journal's framing is re-verified,
-  again report-only.
+  again report-only;
+- **accumulators** — for every checkpoint that validates, re-prove from
+  scratch what recovery takes on trust: the provider rows equal the store
+  rows, the journaled exponent product is ``S == prod h(k, v)`` over those
+  rows, and ``g^S`` is the journaled digest.  Report-only: a mismatch, or
+  group parameters no accumulator can be built in, is
+  ``kind="accumulator"``, ``action="reported"``.
 
 Sharded layouts are walked automatically: a directory containing
 ``shard-NN`` subdirectories is scrubbed shard by shard plus the parent's
@@ -42,10 +48,14 @@ import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from ..crypto.authdict import AuthenticatedDictionary
+from ..crypto.rsa_group import RSAGroup
+from ..errors import CryptoError
 from ..obs.metrics import MetricsRegistry, get_metrics
 from .fsio import OS_FILESYSTEM, FileSystem
 from .wal.checkpoints import (
     _LOAD_FAILURES,
+    Checkpoint,
     _load_one,
     _write_atomic,
     list_checkpoints,
@@ -79,7 +89,7 @@ class ScrubFinding:
     """
 
     path: str
-    kind: str  # "checkpoint" | "mirror" | "segment" | "intents"
+    kind: str  # "checkpoint" | "mirror" | "segment" | "intents" | "accumulator"
     problem: str
     action: str
 
@@ -91,6 +101,7 @@ class ScrubReport:
     directories: tuple[str, ...] = ()
     files_scanned: int = 0
     checkpoints_verified: int = 0
+    accumulators_verified: int = 0  # checkpoints whose (S, digest) re-proved
     records_verified: int = 0  # WAL + intent records whose CRCs re-checked
     findings: list[ScrubFinding] = field(default_factory=list)
     repaired: int = 0
@@ -109,6 +120,7 @@ class ScrubReport:
         return (
             f"scrub [{state}]: {self.files_scanned} file(s), "
             f"{self.checkpoints_verified} checkpoint(s), "
+            f"{self.accumulators_verified} accumulator(s), "
             f"{self.records_verified} record(s) verified; "
             f"{len(self.findings)} finding(s), {self.repaired} repaired, "
             f"{self.quarantined} quarantined"
@@ -117,6 +129,30 @@ class ScrubReport:
 
 def _quarantine(fs: FileSystem, path: str) -> None:
     fs.replace(path, path + QUARANTINE_SUFFIX)
+
+
+def _accumulator_problem(checkpoint: Checkpoint) -> str:
+    """Why *checkpoint*'s provider triple is not its rows' accumulator ("" if it is)."""
+    if checkpoint.provider_store != checkpoint.rows:
+        return "provider rows differ from the store rows"
+    prime_bits = checkpoint.config.get("prime_bits")
+    if not isinstance(prime_bits, int):
+        return "journaled config names no prime_bits to re-prove S with"
+    try:
+        dictionary = AuthenticatedDictionary(
+            RSAGroup(checkpoint.group_modulus, checkpoint.group_generator),
+            checkpoint.rows,
+            prime_bits,
+        )
+    except (CryptoError, ValueError, OverflowError) as exc:
+        # An invalid modulus, generator or prime size: no accumulator to
+        # compare, which is itself the finding.
+        return f"cannot re-prove S from the journaled group and prime size: {exc}"
+    if dictionary.product != checkpoint.provider_product:
+        return "journaled product S is not the product of the rows' pairs"
+    if dictionary.digest != checkpoint.digest:
+        return "g^S is not the journaled digest"
+    return ""
 
 
 def _scrub_checkpoints(
@@ -134,9 +170,10 @@ def _scrub_checkpoints(
         mirror = mirror_path(primary)
         problems: dict[str, str] = {}
         valid_twin: str | None = None
+        loaded: Checkpoint | None = None
         for path, kind in ((primary, "checkpoint"), (mirror, "mirror")):
             try:
-                _load_one(path, fs)
+                checkpoint = _load_one(path, fs)
             except FileNotFoundError:
                 if kind == "checkpoint":
                     problems[path] = "vanished mid-scan (GC race)"
@@ -148,9 +185,20 @@ def _scrub_checkpoints(
                 continue
             report.files_scanned += 1
             if valid_twin is None:
-                valid_twin = path
+                valid_twin, loaded = path, checkpoint
             if kind == "checkpoint":
                 report.checkpoints_verified += 1
+        if loaded is not None:
+            problem = _accumulator_problem(loaded)
+            if problem:
+                report.findings.append(
+                    ScrubFinding(
+                        path=valid_twin, kind="accumulator", problem=problem,
+                        action="reported",
+                    )
+                )
+            else:
+                report.accumulators_verified += 1
         if not problems:
             continue
         if "GC race" in next(iter(problems.values()), ""):

@@ -189,6 +189,16 @@ class ServerDesyncError(ReproError):
     """
 
 
+class AnchorMismatchError(ServerDesyncError):
+    """A recovery anchor's two halves disagree.
+
+    Recovery replays from the checkpoint's store rows and may reuse the
+    exponent product of the checkpoint's provider ``(store, product,
+    digest)`` triple.  A provider store that differs from those rows cannot
+    anchor both, so recovery refuses it before hashing anything.
+    """
+
+
 class RetryExhausted(ReproError):
     """``LitmusSession.flush`` gave up after ``RetryPolicy.max_attempts``.
 

@@ -221,3 +221,64 @@ class TestPropertyBased:
         merged = {**initial, **changes}
         fresh = AuthenticatedDictionary.commit(group, merged, prime_bits=PRIME_BITS)
         assert fresh == ad.digest
+
+
+class TestAnchoredBuild:
+    """``AuthenticatedDictionary(..., anchor=state)``: reuse ``S`` from an
+    earlier state that holds exactly the same rows, or rebuild it from
+    scratch when any row changed; either way the digest is recomputed."""
+
+    BASE = {f"row-{i}": 100 + i for i in range(12)}
+
+    def _anchor(self, group):
+        store, product, _digest = AuthenticatedDictionary(
+            group, initial=self.BASE, prime_bits=PRIME_BITS
+        ).state()
+        return store, product
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"row-0": 7},
+            {"row-0": 7, "row-5": 8, "new-row": 9},
+            {f"row-{i}": i for i in range(12)},
+        ],
+        ids=["none", "one", "update-and-insert", "all"],
+    )
+    def test_matches_a_from_scratch_build(self, group, changes):
+        final = {**self.BASE, **changes}
+        anchored = AuthenticatedDictionary(
+            group, initial=final, prime_bits=PRIME_BITS, anchor=self._anchor(group)
+        )
+        scratch = AuthenticatedDictionary(group, initial=final, prime_bits=PRIME_BITS)
+        assert anchored.state() == scratch.state()
+        assert anchored.digest == AuthenticatedDictionary.commit(
+            group, final, prime_bits=PRIME_BITS
+        )
+        assert anchored.changed_keys == len(changes)
+        assert scratch.changed_keys == len(final)
+
+    def test_unchanged_rows_take_the_anchor_product(self, group):
+        store, product = self._anchor(group)
+        anchored = AuthenticatedDictionary(
+            group, initial=self.BASE, prime_bits=PRIME_BITS, anchor=(store, product * 3)
+        )
+        assert anchored.product == product * 3
+        assert anchored.digest != AuthenticatedDictionary.commit(
+            group, self.BASE, prime_bits=PRIME_BITS
+        )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [{**BASE, "row-2": 1}, {k: v for k, v in BASE.items() if k != "row-2"}],
+        ids=["changed-row", "dropped-row"],
+    )
+    def test_changed_rows_never_read_the_anchor_product(self, group, rows):
+        store, product = self._anchor(group)
+        anchored = AuthenticatedDictionary(
+            group, initial=rows, prime_bits=PRIME_BITS, anchor=(store, product * 3)
+        )
+        assert anchored.digest == AuthenticatedDictionary.commit(
+            group, rows, prime_bits=PRIME_BITS
+        )

@@ -16,6 +16,8 @@ import os
 
 import pytest
 
+from repro.crypto.authdict import AuthenticatedDictionary
+from repro.crypto.rsa_group import default_group
 from repro.db.scrub import BackgroundScrubber, scrub_directory
 from repro.db.wal import (
     INTENT_JOURNAL_NAME,
@@ -32,16 +34,25 @@ from repro.faults import CheckpointRot
 from repro.obs.metrics import MetricsRegistry
 
 
-def _write_ckpt(directory, seq=1, digest=42, **overrides):
+PRIME_BITS = 64
+
+
+def _write_ckpt(directory, seq=1, value=7, **overrides):
+    """A checkpoint of the one-row table ``{("acct", 0): value}`` with its
+    real accumulator, so every scrub check (the re-proof included) holds."""
+    group = default_group(bits=512)
+    rows = {("acct", 0): value}
+    provider_state = AuthenticatedDictionary(group, rows, PRIME_BITS).state()
+    digest = provider_state[2]
     kwargs = dict(
         seq=seq,
         digest=digest,
-        rows={("acct", 0): 7},
-        provider_state=({("acct", 0): 7}, 123456789, digest),
+        rows=rows,
+        provider_state=provider_state,
         next_txn_id=5,
-        config={"cc": "dr"},
-        group_modulus=0xC5,
-        group_generator=0x04,
+        config={"cc": "dr", "prime_bits": PRIME_BITS},
+        group_modulus=group.modulus,
+        group_generator=group.generator,
         durability={"fsync": "always"},
         digest_log_json=json.dumps(
             [
@@ -65,7 +76,7 @@ def _read(path):
 
 class TestCheckpointRepair:
     def test_rotted_primary_is_rebuilt_from_its_mirror(self, tmp_path):
-        _write_ckpt(tmp_path, seq=3, digest=9)
+        _write_ckpt(tmp_path, seq=3, value=9)
         rotted = CheckpointRot().apply(str(tmp_path))
         # Before the scrub, loading survives only by falling back.
         assert select_checkpoint(str(tmp_path)).used_mirror
@@ -99,8 +110,8 @@ class TestCheckpointRepair:
         assert _read(primary) == _read(mirror_path(primary))
 
     def test_doubly_rotted_pair_is_quarantined(self, tmp_path):
-        _write_ckpt(tmp_path, seq=1, digest=1)
-        newest = _write_ckpt(tmp_path, seq=2, digest=2)
+        _write_ckpt(tmp_path, seq=1, value=1)
+        newest = _write_ckpt(tmp_path, seq=2, value=2)
         rot_file(newest, 97, 0x20)
         rot_file(mirror_path(newest), 97, 0x20)
 
@@ -178,7 +189,7 @@ class TestReportOnlyArtifacts:
 
         assert report.ok and not report.findings
         assert "clean" in report.summary()
-        assert report.checkpoints_verified == 1
+        assert report.checkpoints_verified == report.accumulators_verified == 1
         assert report.files_scanned == 3  # primary + mirror + segment
         assert report.records_verified >= 1
         assert registry.counter("scrub.runs").value == 1
@@ -186,12 +197,49 @@ class TestReportOnlyArtifacts:
         assert registry.counter("scrub.damage_found").value == 0
 
 
+class TestAccumulatorReproof:
+    """A checkpoint whose checksum holds but whose accumulator cannot be
+    re-proved is a report-only ``accumulator`` finding, never a crash."""
+
+    @pytest.mark.parametrize(
+        "overrides, problem",
+        [
+            ({"group_generator": 1}, "generator out of range"),
+            ({"group_modulus": 2**512}, "invalid RSA modulus"),
+            ({"config": {"cc": "dr", "prime_bits": 0}}, "prime size"),
+            ({"config": {"cc": "dr", "prime_bits": -3}}, "prime size"),
+            ({"config": {"cc": "dr"}}, "no prime_bits"),
+        ],
+        ids=["generator", "even-modulus", "zero-bits", "negative-bits", "no-bits"],
+    )
+    def test_unprovable_checkpoint_is_reported(self, tmp_path, overrides, problem):
+        primary = _write_ckpt(tmp_path, seq=1, **overrides)
+        before = _read(primary)
+
+        report = scrub_directory(str(tmp_path))
+
+        assert not report.ok and report.accumulators_verified == 0
+        (finding,) = report.findings
+        assert finding.kind == "accumulator" and finding.action == "reported"
+        assert finding.path == primary and problem in finding.problem
+        assert _read(primary) == before
+
+    def test_background_pass_reproves_older_checkpoints(self, tmp_path):
+        older = _write_ckpt(tmp_path, seq=1, keep=5, group_generator=1)
+        _write_ckpt(tmp_path, seq=2, value=2, keep=5, group_generator=1)
+
+        report = BackgroundScrubber(str(tmp_path), interval=3600.0).scrub_now()
+
+        (finding,) = report.findings  # the newest pair is skipped
+        assert finding.kind == "accumulator" and finding.path == older
+
+
 class TestShardedLayout:
     def test_shard_directories_are_walked(self, tmp_path):
         for shard in (0, 1):
             shard_dir = tmp_path / f"shard-{shard:02d}"
             shard_dir.mkdir()
-            _write_ckpt(shard_dir, seq=1, digest=shard + 1)
+            _write_ckpt(shard_dir, seq=1, value=shard + 1)
         CheckpointRot().apply(str(tmp_path / "shard-01"))
         journal = IntentJournal(
             os.path.join(str(tmp_path), INTENT_JOURNAL_NAME), num_shards=2
@@ -204,13 +252,13 @@ class TestShardedLayout:
         assert report.ok and report.repaired == 1
         (finding,) = report.findings
         assert "shard-01" in finding.path
-        assert load_latest_checkpoint(str(tmp_path / "shard-01")).digest == 2
+        assert load_latest_checkpoint(str(tmp_path / "shard-01")).rows == {("acct", 0): 2}
 
 
 class TestBackgroundScrubber:
     def test_pass_repairs_older_pairs_but_spares_the_newest(self, tmp_path):
-        older = _write_ckpt(tmp_path, seq=1, digest=1, keep=5)
-        newest = _write_ckpt(tmp_path, seq=2, digest=2, keep=5)
+        older = _write_ckpt(tmp_path, seq=1, value=1, keep=5)
+        newest = _write_ckpt(tmp_path, seq=2, value=2, keep=5)
         rot_file(older, 97, 0x20)
         rot_file(newest, 97, 0x20)  # may be mid-write: must be left alone
         newest_before = _read(newest)
