@@ -95,7 +95,7 @@ def run_checkpoint_bench(num_rows: int = 2_000) -> dict:
             seq=1,
             digest=digest,
             rows=rows,
-            provider_state=(rows, 12345, digest),
+            provider_state=(rows, 12345, digest, None),
             next_txn_id=1,
             config={"cc": "dr"},
             group_modulus=0xC5,

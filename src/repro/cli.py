@@ -397,6 +397,8 @@ def _recover_existing(directory: str) -> tuple[str, int]:
             f"  {label}checkpoint : seq {report.checkpoint_seq}",
             f"  {label}replayed   : {report.replayed_batches} batch(es) "
             f"(tip seq {report.last_seq}), {report.changed_keys} key(s) changed",
+            f"  {label}accumulator: {report.accumulator_path}, "
+            f"{report.primes_hashed} prime(s) hashed",
             f"  {label}repaired   : {report.truncations} torn tail(s), "
             f"{report.truncated_bytes} byte(s), "
             f"{report.dropped_segments} dropped segment(s)",
@@ -489,7 +491,8 @@ def _recover_demo(directory: str, seed: int) -> tuple[str, bool]:
     lines.append(
         f"  recovery : checkpoint seq {report.checkpoint_seq}, replayed "
         f"{report.replayed_batches} batch(es) changing {report.changed_keys} "
-        f"key(s), repaired {report.truncations} "
+        f"key(s), accumulator {report.accumulator_path} hashing "
+        f"{report.primes_hashed} prime(s), repaired {report.truncations} "
         f"torn tail(s) ({report.truncated_bytes} bytes) in "
         f"{report.duration_seconds:.3f}s"
     )

@@ -150,11 +150,11 @@ class MemoryIntegrityProvider:
         write_cert = self.apply_writes(dict(writes)) if writes else None
         return read_cert, write_cert
 
-    def state(self) -> tuple[dict, int, int]:
+    def state(self) -> tuple[dict, int, int, dict]:
         """Capture the provider's AD state for a later :meth:`restore`."""
         return self._ad.state()
 
-    def restore(self, state: tuple[dict, int, int]) -> None:
+    def restore(self, state: tuple[dict, int, int, dict]) -> None:
         """Rewind the provider to a previously captured state.
 
         Used by the server's rejected-batch recovery: certificates minted

@@ -14,13 +14,14 @@ transaction means after a crash:
    *repairs* tail damage (a torn or bit-rotted suffix is truncated away,
    never raised), and the sequence-gap check between the two;
 2. :func:`replay_and_rebuild` — base rows + the provider's
-   ``(store, product, digest)`` anchor taken with them + command logs → a
-   fresh :class:`~repro.db.database.Database` replay → the exponent
-   product ``S'``: the anchor's own when the replay changed no row (a
-   read-only tail hashes nothing), else built from scratch → one
-   generator power → the digest cross-check against the client-verified
-   tip, whichever branch ran → a server assembled by restoring the
-   replayed rows and the rebuilt triple;
+   ``(store, product, digest, factors)`` anchor taken with them + command
+   logs → a fresh :class:`~repro.db.database.Database` replay → the
+   exponent product ``S'``: the anchor's rolled forward by the net change
+   through its journaled per-row primes (a read-only tail hashes
+   nothing, a changed key two primes), or built from scratch when the
+   anchor journaled no factors → one generator power → the digest
+   cross-check against the client-verified tip, whichever branch ran → a
+   server assembled by restoring the replayed rows and the rebuilt state;
 3. :func:`resolve_in_doubt` — a pure function from the scanned cross-shard
    intent journal and the participants' durable states to one
    commit / abort / truncate-abort / roll-forward decision per in-doubt
@@ -59,6 +60,7 @@ from ..db.wal import (
 from ..db.wal.intents import STATE_PENDING
 from ..errors import (
     AnchorMismatchError,
+    CryptoError,
     DurabilityError,
     RecoveryError,
     ServerDesyncError,
@@ -72,6 +74,7 @@ from .config import LitmusConfig
 from .server import LitmusServer
 
 __all__ = [
+    "AccumulatorRebuild",
     "DurableState",
     "InDoubtDecision",
     "RecoveryReport",
@@ -83,6 +86,10 @@ __all__ = [
     "resolve_in_doubt",
     "truncate_tail_record",
 ]
+
+# The two ways recovery forms the accumulator.
+ROLLED_FORWARD = "rolled-forward"
+REBUILT = "rebuilt"
 
 # The four ways an in-doubt cross-shard round resolves.
 COMMIT = "commit"
@@ -112,8 +119,13 @@ class RecoveryReport:
     - ``checkpoint_seq`` — batch sequence the loaded checkpoint covered;
     - ``replayed_batches`` — WAL records replayed past the checkpoint;
     - ``changed_keys`` — keys whose replayed value differs from the
-      checkpoint's; when it is 0 the checkpoint's exponent product was
-      reused, otherwise the accumulator was rebuilt from scratch;
+      checkpoint's, dropped keys included: the net change ``C``;
+    - ``accumulator_path`` — ``"rolled-forward"`` (the checkpoint's
+      product moved by ``C`` through its journaled primes) or
+      ``"rebuilt"`` (from scratch: the checkpoint journaled no primes);
+    - ``primes_hashed`` — category primes the accumulator asked for:
+      at most two per changed key and three per inserted key when rolled
+      forward, three per row when rebuilt;
     - ``last_seq`` — the recovered tip of the durable history;
     - ``digest`` — the journaled client digest the rebuilt state matched;
     - ``truncations`` / ``truncated_bytes`` / ``dropped_segments`` — tail
@@ -140,6 +152,18 @@ class RecoveryReport:
     checkpoint_from_mirror: bool = False
     checkpoint_rejected: tuple[str, ...] = ()
     changed_keys: int = 0
+    accumulator_path: str = ""
+    primes_hashed: int = 0
+
+
+@dataclass(frozen=True)
+class AccumulatorRebuild:
+    """How :func:`replay_and_rebuild` formed the accumulator: the
+    :class:`RecoveryReport` fields of the same names."""
+
+    path: str  # ROLLED_FORWARD | REBUILT
+    changed_keys: int
+    primes_hashed: int
 
 
 @dataclass(frozen=True)
@@ -186,10 +210,10 @@ class DurableState:
         return log
 
     def report(
-        self, digest: int, changed_keys: int, duration_seconds: float
+        self, digest: int, rebuild: AccumulatorRebuild, duration_seconds: float
     ) -> RecoveryReport:
         """The report of a recovery of this state that ended at *digest*
-        after its replay changed *changed_keys* keys."""
+        after forming its accumulator as *rebuild* says."""
         return RecoveryReport(
             checkpoint_seq=self.checkpoint.seq,
             replayed_batches=len(self.records),
@@ -202,7 +226,9 @@ class DurableState:
             checkpoint_path=self.selection.loaded_path,
             checkpoint_from_mirror=self.selection.used_mirror,
             checkpoint_rejected=self.selection.rejected,
-            changed_keys=changed_keys,
+            changed_keys=rebuild.changed_keys,
+            accumulator_path=rebuild.path,
+            primes_hashed=rebuild.primes_hashed,
         )
 
 
@@ -234,35 +260,47 @@ def read_durable_state(
 
 def replay_and_rebuild(
     base_rows: Mapping[tuple, int],
-    anchor: tuple[Mapping[tuple, int], int, int],
+    anchor: tuple[Mapping[tuple, int], int, int, Mapping | None],
     command_logs: Sequence[bytes],
     programs: Mapping[str, Program],
     expected_digest: int,
     *,
     config: LitmusConfig,
     **server_options,
-) -> tuple[LitmusServer, list[list[Transaction]], int]:
+) -> tuple[LitmusServer, list[list[Transaction]], AccumulatorRebuild]:
     """Re-derive a trusted server from *base_rows* plus verified history.
 
-    *anchor* is the provider's ``(store, product, digest)`` triple taken
-    with *base_rows*; a store that differs from *base_rows* raises
+    *anchor* is the provider's ``(store, product, digest, factors)`` state
+    taken with *base_rows*; *factors* is None for a checkpoint journaled
+    without them.  A store that differs from *base_rows*, or factors whose
+    keys differ from the store's, raise
     :class:`~repro.errors.AnchorMismatchError`.  Every command log is
     replayed through a fresh :class:`~repro.db.database.Database`
     (determinism of the CC algorithm makes the log sufficient), and the
-    authenticated dictionary of the replayed contents takes the anchor's
-    product when the replay changed no row and is built from scratch
-    otherwise (see :class:`~repro.crypto.authdict.AuthenticatedDictionary`).
-    The server is assembled from both; *server_options* (``group``,
-    ``invariants``, ``tracer``, ...) go to
-    :class:`~repro.core.server.LitmusServer` as they are.  Returns the server, the decoded batches and the number of
-    keys the replay changed.  Raises
-    :class:`~repro.errors.ServerDesyncError` unless the rebuilt digest is
-    *expected_digest*, the one the client last verified.
+    authenticated dictionary of the replayed contents rolls the anchor's
+    product forward by the net change when the anchor has factors and is
+    built from scratch otherwise (see
+    :class:`~repro.crypto.authdict.AuthenticatedDictionary`).  The server
+    is assembled from both; *server_options* (``group``, ``invariants``,
+    ``tracer``, ...) go to :class:`~repro.core.server.LitmusServer` as
+    they are.  Returns the server, the decoded batches and how the
+    accumulator was formed.  Raises
+    :class:`~repro.errors.ServerDesyncError` when the anchor's product is
+    not divisible by the journaled primes the roll-forward divides out,
+    or unless the rebuilt digest is *expected_digest*, the one the client
+    last verified.
     """
-    if anchor[0] != base_rows:
+    store, product, _digest, factors = anchor
+    if store != base_rows:
         raise AnchorMismatchError(
             "the checkpoint's authenticated-dictionary rows disagree with "
             "its store rows; refusing to recover from a split anchor"
+        )
+    if factors is not None and factors.keys() != store.keys():
+        raise AnchorMismatchError(
+            "the checkpoint's journaled primes cover other keys than its "
+            "authenticated-dictionary rows; refusing to recover from a "
+            "split anchor"
         )
     database = Database(
         initial=base_rows,
@@ -275,14 +313,22 @@ def replay_and_rebuild(
         database.run(txns)
     contents = database.snapshot()
     server = LitmusServer(config=config, **server_options)
-    dictionary = AuthenticatedDictionary(
-        server.group, contents, config.prime_bits, anchor=anchor[:2]
-    )
+    try:
+        dictionary = AuthenticatedDictionary(
+            server.group, contents, config.prime_bits, anchor=(store, product, factors)
+        )
+    except CryptoError as exc:
+        raise ServerDesyncError(
+            "the checkpoint's exponent product is not divisible by the "
+            "journaled primes of the keys the replay changed; the anchor "
+            f"is not the accumulator of its rows ({exc})"
+        ) from exc
     # The digest cross-check: the AD digest is a pure function of the
     # contents, so the rebuilt digest matching the client-verified one
     # proves the re-derived state is exactly what the client last
     # acknowledged.  It is always recomputed as g^S'; the anchor's
-    # journaled digest is never read.
+    # journaled digest is never read, and its journaled primes reach
+    # nothing but S'.
     if dictionary.digest != expected_digest:
         raise ServerDesyncError(
             "replaying the verified command log does not reproduce the "
@@ -292,7 +338,11 @@ def replay_and_rebuild(
         )
     server.db.restore(contents)
     server.provider.restore(dictionary.state())
-    return server, batches, dictionary.changed_keys
+    return server, batches, AccumulatorRebuild(
+        ROLLED_FORWARD if dictionary.rolled_forward else REBUILT,
+        dictionary.changed_keys,
+        dictionary.primes_hashed,
+    )
 
 
 def read_sharded_layout(directory: str) -> tuple[list[str], list[IntentRecord]]:

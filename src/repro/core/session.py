@@ -52,8 +52,8 @@ A rejected batch is not the end of the conversation.  When a
 3. **resync** — replay the trusted command log (every *verified* batch
    since the last checkpoint, see :mod:`repro.db.commandlog`) against the
    checkpoint state and rebuild the server from the re-derived contents
-   (reusing the checkpoint's accumulator exponent when the log changed no
-   row);
+   (rolling the checkpoint's accumulator exponent forward by the rows the
+   log changed);
    if the rebuilt digest disagrees with the client's verified digest the
    divergence is unrecoverable and :class:`~repro.errors.ServerDesyncError`
    is raised;
@@ -358,12 +358,12 @@ class LitmusSession:
         # a rejected auto-flush triggered by submit() reaching max_batch.
         self.last_result: BatchResult | None = None
         # Recovery anchors: the checkpoint state (trusted contents at the
-        # last checkpoint) and the provider's (store, product, digest) triple
-        # taken with it, the command log of verified batches since then,
-        # the program registry replay needs, and the hash-chained history
-        # of verified digests.
+        # last checkpoint) and the provider's (store, product, digest,
+        # factors) state taken with it, the command log of verified batches
+        # since then, the program registry replay needs, and the
+        # hash-chained history of verified digests.
         self._base_state: dict[tuple, int] = server.db.snapshot()
-        self._anchor: tuple[dict, int, int] = server.provider.state()
+        self._anchor: tuple[dict, int, int, dict] = server.provider.state()
         self._command_log: list[bytes] = []
         self._programs: dict[str, Program] = {}
         self.digest_log = DigestLog(self.client.digest)
@@ -500,7 +500,7 @@ class LitmusSession:
         digest_log = state.digest_log()
         with tracer.span("recover", batches=len(state.records)):
             try:
-                server, batches, changed_keys = replay_and_rebuild(
+                server, batches, rebuild = replay_and_rebuild(
                     checkpoint.rows,
                     checkpoint.provider_state,
                     [record.command_log for record in state.records],
@@ -536,10 +536,11 @@ class LitmusSession:
         session._programs.update(program_map)
         duration = perf_counter() - start
         registry.counter("recovery.replayed_batches").inc(len(state.records))
-        registry.counter("recovery.changed_keys").inc(changed_keys)
+        registry.counter("recovery.changed_keys").inc(rebuild.changed_keys)
+        registry.counter("recovery.primes_hashed").inc(rebuild.primes_hashed)
         registry.histogram("recovery.duration").observe(duration)
         session.recovery_report = state.report(
-            session.client.digest, changed_keys, duration
+            session.client.digest, rebuild, duration
         )
         return session
 
@@ -667,10 +668,10 @@ class LitmusSession:
         The in-memory twin of :meth:`recover`, through the same kernel
         (:func:`~repro.core.recovery.replay_and_rebuild`): the command log
         of every verified batch since the last checkpoint is replayed
-        against the checkpoint state, the accumulator is rebuilt (from the
-        provider triple captured with it when the log changed no row), and
-        the rebuilt digest is cross-checked against the client's verified
-        digest.  Disagreement means the history itself has diverged and raises
+        against the checkpoint state, the accumulator is rolled forward
+        from the provider state captured with it, and the rebuilt digest is
+        cross-checked against the client's verified digest.  Disagreement
+        means the history itself has diverged and raises
         :class:`~repro.errors.ServerDesyncError`.
 
         Returns the re-derived digest (== ``self.digest``).
@@ -679,7 +680,7 @@ class LitmusSession:
         self.registry.counter("session.resyncs").inc()
         with self.tracer.span("resync", batches=len(self._command_log)):
             try:
-                rebuilt, _batches, _changed = replay_and_rebuild(
+                rebuilt, _batches, _rebuild = replay_and_rebuild(
                     self._base_state,
                     self._anchor,
                     self._command_log,
@@ -711,7 +712,7 @@ class LitmusSession:
            chain itself stays append-only — a zero-transaction entry
            re-recording the prior digest marks the compensation instead of
            rewriting history;
-        3. re-anchors the recovery state (base snapshot + provider triple +
+        3. re-anchors the recovery state (base snapshot + provider state +
            empty command log) and, with durability on, writes a checkpoint
            at the *same* sequence the compensated batch journaled.  The
            atomic rewrite replaces any applied-state checkpoint at that
@@ -887,7 +888,7 @@ class LitmusSession:
 
     def _checkpoint(self) -> None:
         """Re-anchor recovery on the current state: the server's rows and
-        provider triple become the checkpoint, the command log empties, and
+        provider state become the checkpoint, the command log empties, and
         with durability on the checkpoint lands on disk."""
         self._base_state = self.server.db.snapshot()
         self._anchor = self.server.provider.state()

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from ..errors import CryptoError, ProofError
 from ..obs.metrics import get_metrics, timed
 from ..serialization import encode
-from .cache import cached_key_prime, cached_pair_representative, prime_product
+from .cache import cached_key_prime, cached_pair_factors, prime_product
 from .categorization import (
     CATEGORY_KEY,
     CATEGORY_RELATION,
@@ -40,8 +40,10 @@ __all__ = [
     "AuthenticatedDictionary",
     "LookupProof",
     "NonMembershipProof",
+    "pair_factors",
     "pair_representative",
     "key_prime",
+    "value_factors",
 ]
 
 DEFAULT_PRIME_BITS = 128
@@ -75,12 +77,38 @@ def key_prime(key: object, bits: int = DEFAULT_PRIME_BITS) -> int:
     return sample_category_prime(bits, CATEGORY_KEY, encode(key))
 
 
+def value_factors(
+    key: object, value: object, bits: int = DEFAULT_PRIME_BITS
+) -> tuple[int, int]:
+    """The category-1 value prime and category-2 relation prime of ``(k, v)``."""
+    return (
+        sample_category_prime(bits, CATEGORY_VALUE, encode(value)),
+        sample_category_prime(bits, CATEGORY_RELATION, hash_pair(key, value)),
+    )
+
+
+def pair_factors(
+    key: object, value: object, bits: int = DEFAULT_PRIME_BITS
+) -> tuple[int, int, int]:
+    """The ``(key, value, relation)`` primes whose product is ``H(k, v)``."""
+    return (key_prime(key, bits), *value_factors(key, value, bits))
+
+
 def pair_representative(key: object, value: object, bits: int = DEFAULT_PRIME_BITS) -> int:
     """``H(k, v)``: the product of the key, value, and relation primes."""
-    kp = sample_category_prime(bits, CATEGORY_KEY, encode(key))
-    vp = sample_category_prime(bits, CATEGORY_VALUE, encode(value))
-    rp = sample_category_prime(bits, CATEGORY_RELATION, hash_pair(key, value))
-    return kp * vp * rp
+    return _representative(pair_factors(key, value, bits))
+
+
+def _representative(factors: tuple[int, int, int]) -> int:
+    key_p, value_p, relation_p = factors
+    return key_p * value_p * relation_p
+
+
+def _exact_quotient(dividend: int, divisor: int) -> int:
+    quotient, remainder = divmod(dividend, divisor)
+    if remainder:
+        raise CryptoError("internal state corrupt: product mismatch")
+    return quotient
 
 
 class AuthenticatedDictionary:
@@ -89,8 +117,11 @@ class AuthenticatedDictionary:
     The *stateless* verification methods (``ver_lookup``, ``ver_no_key``,
     ``digest_after_update``) are what the client / circuit run; the stateful
     methods maintain the server's copy of the dictionary, its exponent
-    product ``S``, and the latest digest ``acc`` (the bookkeeping of
-    Algorithm 1).
+    product ``S``, the latest digest ``acc`` (the bookkeeping of
+    Algorithm 1), and each row's three category primes, the *factor map*
+    whose products multiply to ``S``.  The factor map is journaled with
+    checkpoints so recovery can roll ``S`` forward; witnesses and proofs
+    never read it, they hash every pair through the prime caches.
     """
 
     def __init__(
@@ -98,17 +129,26 @@ class AuthenticatedDictionary:
         group: RSAGroup,
         initial: Mapping[object, object] | None = None,
         prime_bits: int = DEFAULT_PRIME_BITS,
-        anchor: tuple[Mapping[object, object], int] | None = None,
+        anchor: tuple[Mapping[object, object], int, Mapping | None] | None = None,
     ):
         """The dictionary holding *initial*, its digest ``g^S`` formed by one
         generator power over the product-tree exponent ``S``.
 
-        *anchor* is a ``(store, product)`` pair, the first two fields of
-        :meth:`state`.  When its store holds exactly *initial*, its product
-        is ``S`` and nothing is hashed; otherwise ``S`` is built from
-        scratch.  The digest is always recomputed from ``S``.
-        ``changed_keys`` counts the keys whose value differs from the
-        anchor's (every key without one).
+        *anchor* is a ``(store, product, factors)`` triple from an earlier
+        :meth:`state` whose factor map covers exactly its store, or whose
+        factors are None (journaled before factor maps existed).  With
+        factors, ``S`` is rolled forward by the net change ``C`` of
+        *initial* against the anchor's store, dropped keys included:
+        ``S' = (S // prod old factors of C) * prod new factors of C``, where
+        a changed key keeps its anchored key prime and hashes a fresh value
+        and relation prime, an inserted key hashes all three, and a dropped
+        key hashes none.  A remainder raises :class:`CryptoError`.  Without
+        an anchor or its factors, ``S`` is built from scratch.  The digest
+        is always recomputed from ``S``.
+
+        ``rolled_forward`` records which branch ran, ``changed_keys`` the
+        size of ``C`` (every key without an anchor) and ``primes_hashed``
+        the category primes it asked the (cached) samplers for.
         """
         self.group = group
         self.prime_bits = prime_bits
@@ -116,15 +156,59 @@ class AuthenticatedDictionary:
         # (touched keys T, B) while a batch holds a shared base; see
         # share_base.  Never part of state(): it is derived, not state.
         self._shared: tuple[frozenset, int] | None = None
-        base = anchor[0] if anchor is not None else {}
-        self.changed_keys = sum(
-            value != base.get(key) for key, value in self._store.items()
+        base_store, base_product, base_factors = (
+            anchor if anchor is not None else ({}, 1, None)
         )
-        if anchor is not None and base == self._store:
-            self._product = anchor[1]
+        changed = {
+            key: value
+            for key, value in self._store.items()
+            if key not in base_store or base_store[key] != value
+        }
+        dropped = [key for key in base_store if key not in self._store]
+        self.changed_keys = len(changed) + len(dropped)
+        self.rolled_forward = base_factors is not None
+        if self.rolled_forward:
+            self._roll_forward(base_product, base_factors, changed, dropped)
         else:
-            self._product = self.lookup_exponent(self._store)
+            self._factors = {
+                key: self._pair_factors(key, value)
+                for key, value in self._store.items()
+            }
+            self._product = prime_product(map(_representative, self._factors.values()))
+            self.primes_hashed = 3 * len(self._factors)
         self._digest = group.power(group.generator, self._product)
+
+    def _roll_forward(
+        self,
+        base_product: int,
+        base_factors: Mapping[object, tuple[int, int, int]],
+        changed: Mapping[object, object],
+        dropped: Iterable[object],
+    ) -> None:
+        """Set ``S`` and the factor map from an anchor's by the net change.
+
+        The anchor's factors are hints: they enter nothing but ``S``, which
+        the caller binds to a trusted digest, and never the prime caches.
+        """
+        factors = dict(base_factors)
+        old = [factors.pop(key) for key in dropped]
+        old += [factors[key] for key in changed if key in factors]
+        quotient = _exact_quotient(
+            base_product, prime_product(map(_representative, old))
+        )
+        self.primes_hashed = 0
+        for key, value in changed.items():
+            if key in factors:
+                fresh = value_factors(key, value, self.prime_bits)
+                factors[key] = (factors[key][0], *fresh)
+                self.primes_hashed += 2
+            else:
+                factors[key] = self._pair_factors(key, value)
+                self.primes_hashed += 3
+        self._factors = factors
+        self._product = quotient * prime_product(
+            _representative(factors[key]) for key in changed
+        )
 
     # -- internal helpers ---------------------------------------------------
     #
@@ -132,13 +216,16 @@ class AuthenticatedDictionary:
     # and the global cache epoch): every batch that re-touches a pair would
     # otherwise re-run three hash-to-prime searches per access.
 
-    def _h(self, key: object, value: object) -> int:
-        return cached_pair_representative(
+    def _pair_factors(self, key: object, value: object) -> tuple[int, int, int]:
+        return cached_pair_factors(
             key,
             value,
             self.prime_bits,
-            lambda: pair_representative(key, value, self.prime_bits),
+            lambda: pair_factors(key, value, self.prime_bits),
         )
+
+    def _h(self, key: object, value: object) -> int:
+        return _representative(self._pair_factors(key, value))
 
     def _kp(self, key: object) -> int:
         return cached_key_prime(
@@ -154,13 +241,10 @@ class AuthenticatedDictionary:
         the representatives are distinct or coprime (keys holding equal
         values share a value prime).
         """
-        quotient, remainder = divmod(
+        return _exact_quotient(
             self._product,
             prime_product(self._h(key, self._store[key]) for key in keys),
         )
-        if remainder:
-            raise CryptoError("internal state corrupt: product mismatch")
-        return quotient
 
     # -- state accessors ------------------------------------------------------
 
@@ -186,21 +270,24 @@ class AuthenticatedDictionary:
     def snapshot(self) -> dict[object, object]:
         return dict(self._store)
 
-    def state(self) -> tuple[dict[object, object], int, int]:
-        """The complete mutable state ``(store, product, digest)``.
+    def state(self) -> tuple[dict[object, object], int, int, dict[object, tuple]]:
+        """The complete mutable state ``(store, product, digest, factors)``.
 
-        Cheap to take (one dict copy, two int references); feeding it back
+        Cheap to take (two dict copies, two int references); feeding it back
         to :meth:`restore` rewinds the dictionary exactly — the rollback
         primitive the server's pre-batch snapshots are built on.
         """
-        return dict(self._store), self._product, self._digest
+        return dict(self._store), self._product, self._digest, dict(self._factors)
 
-    def restore(self, state: tuple[dict[object, object], int, int]) -> None:
+    def restore(
+        self, state: tuple[dict[object, object], int, int, dict[object, tuple]]
+    ) -> None:
         """Rewind to a state previously captured with :meth:`state`."""
-        store, product, digest = state
+        store, product, digest, factors = state
         self._store = dict(store)
         self._product = product
         self._digest = digest
+        self._factors = dict(factors)
         self._shared = None
 
     # -- the per-batch shared base ------------------------------------------------
@@ -357,8 +444,12 @@ class AuthenticatedDictionary:
             proof, rest = self._lookup(existing)
             if self._shared is not None and not self._shared[0].issuperset(changes):
                 self._shared = None
-            roll_forward = prime_product(self._h(key, value) for key, value in changes.items())
+            new_factors = {
+                key: self._pair_factors(key, value) for key, value in changes.items()
+            }
+            roll_forward = prime_product(map(_representative, new_factors.values()))
             self._store.update(changes)
+            self._factors.update(new_factors)
             self._product = rest * roll_forward
             # d' = pi^(prod H(k, v_new)): the witness excludes exactly the old
             # pairs of the changed keys, so raising it by the new pairs lands

@@ -16,8 +16,8 @@ running inside every prover worker) can memoize them:
   rebinds the security parameter);
 - :func:`cached_challenge_prime` — the PoE challenge prime of a transcript,
   so the in-process verifier reuses the prover's search;
-- :func:`cached_pair_representative` / :func:`cached_key_prime` — the
-  authenticated dictionary's ``H(k, v)`` products keyed by
+- :func:`cached_pair_factors` / :func:`cached_key_prime` — the
+  authenticated dictionary's three ``H(k, v)`` category primes keyed by
   ``(key, value, epoch)``;
 - :func:`product_tree` / :func:`prime_product` — balanced product trees for
   the multi-prime exponents of aggregated witnesses, turning the quadratic
@@ -49,7 +49,7 @@ __all__ = [
     "cached_hash_to_prime",
     "cached_certified_prime",
     "cached_challenge_prime",
-    "cached_pair_representative",
+    "cached_pair_factors",
     "cached_key_prime",
     "generator_fixed_base",
     "prime_cache_epoch",
@@ -272,13 +272,14 @@ def cached_certified_prime(
     )
 
 
-def cached_pair_representative(
+def cached_pair_factors(
     key: object,
     value: object,
     bits: int,
-    compute: Callable[[], int],
-) -> int:
-    """Memoized ``H(k, v)`` keyed by ``(key, value, epoch)``.
+    compute: Callable[[], tuple[int, int, int]],
+) -> tuple[int, int, int]:
+    """Memoized ``(key, value, relation)`` primes of ``H(k, v)`` keyed by
+    ``(key, value, epoch)``.
 
     The caller supplies *compute* (the uncached sampler) so this module does
     not need to import the authenticated-dictionary encoding — keeping the

@@ -19,10 +19,12 @@ finds it early, while redundancy still exists:
   again report-only;
 - **accumulators** — for every checkpoint that validates, re-prove from
   scratch what recovery takes on trust: the provider rows equal the store
-  rows, the journaled exponent product is ``S == prod h(k, v)`` over those
-  rows, and ``g^S`` is the journaled digest.  Report-only: a mismatch, or
-  group parameters no accumulator can be built in, is
-  ``kind="accumulator"``, ``action="reported"``.
+  rows, each row's journaled ``(key, value, relation)`` primes are its
+  category primes (so their product is ``prod h(k, v)``), the journaled
+  exponent product is ``S == prod h(k, v)`` over those rows, and ``g^S``
+  is the journaled digest.  Report-only: a mismatch, or group parameters
+  no accumulator can be built in, is ``kind="accumulator"``,
+  ``action="reported"``.
 
 Sharded layouts are walked automatically: a directory containing
 ``shard-NN`` subdirectories is scrubbed shard by shard plus the parent's
@@ -132,7 +134,7 @@ def _quarantine(fs: FileSystem, path: str) -> None:
 
 
 def _accumulator_problem(checkpoint: Checkpoint) -> str:
-    """Why *checkpoint*'s provider triple is not its rows' accumulator ("" if it is)."""
+    """Why *checkpoint*'s provider state is not its rows' accumulator ("" if it is)."""
     if checkpoint.provider_store != checkpoint.rows:
         return "provider rows differ from the store rows"
     prime_bits = checkpoint.config.get("prime_bits")
@@ -148,6 +150,17 @@ def _accumulator_problem(checkpoint: Checkpoint) -> str:
         # An invalid modulus, generator or prime size: no accumulator to
         # compare, which is itself the finding.
         return f"cannot re-prove S from the journaled group and prime size: {exc}"
+    journaled = checkpoint.provider_factors
+    if journaled is not None:
+        factors = dictionary.state()[3]
+        if journaled.keys() != factors.keys():
+            return "journaled primes cover other keys than the rows"
+        wrong = sum(journaled[key] != primes for key, primes in factors.items())
+        if wrong:
+            return (
+                f"journaled primes of {wrong} row(s) are not their "
+                "category primes"
+            )
     if dictionary.product != checkpoint.provider_product:
         return "journaled product S is not the product of the rows' pairs"
     if dictionary.digest != checkpoint.digest:

@@ -7,6 +7,14 @@ without replaying history from genesis:
 - the authenticated-dictionary provider state (store, exponent product,
   digest) — journaled so a checkpoint is a *complete* server image and so
   its self-consistency can be validated on load,
+- each row's three category primes ``(key, value, relation)``
+  (``provider.factors``), so recovery rolls the exponent product forward
+  by the rows the WAL tail changed instead of re-hashing every row.  The
+  field is additive under the same format tag: a checkpoint without it
+  (written before it existed) loads with ``provider_factors`` None and
+  recovers by a from-scratch rebuild, and a loader that predates it
+  ignores it.  The primes are hints: recovery's digest cross-check binds
+  their product, and the scrubber re-proves each one,
 - the client's verified digest and its hash-chained :class:`DigestLog`,
 - the deployment's :class:`~repro.core.config.LitmusConfig`, RSA group
   parameters, durability settings, and the next transaction id.
@@ -84,11 +92,19 @@ class Checkpoint:
     durability: dict  # DurabilityConfig fields minus the directory
     digest_log_json: str  # DigestLog.to_json payload
     path: str = ""
+    # AD per-row (key, value, relation) primes; None when not journaled
+    provider_factors: dict | None = None
 
     @property
-    def provider_state(self) -> tuple[dict, int, int]:
-        """The tuple :meth:`MemoryIntegrityProvider.restore` accepts."""
-        return dict(self.provider_store), self.provider_product, self.provider_digest
+    def provider_state(self) -> tuple[dict, int, int, dict | None]:
+        """The provider's ``(store, product, digest, factors)`` state."""
+        factors = self.provider_factors
+        return (
+            dict(self.provider_store),
+            self.provider_product,
+            self.provider_digest,
+            None if factors is None else dict(factors),
+        )
 
 
 @dataclass(frozen=True)
@@ -143,15 +159,25 @@ def _encode_key(key: tuple) -> list:
     return list(key)
 
 
-def _encode_rows(rows: Mapping[tuple, int]) -> list:
-    return [
-        [_encode_key(key), value]
-        for key, value in sorted(rows.items(), key=lambda item: encode(item[0]))
-    ]
+def _key_order(*mappings: Mapping[tuple, object]) -> list[tuple[tuple, list]]:
+    """Every key of *mappings* with its JSON form, in canonical order."""
+    keys = set().union(*mappings)
+    return [(key, _encode_key(key)) for key in sorted(keys, key=encode)]
+
+
+def _encode_rows(rows: Mapping[tuple, object], order: list[tuple[tuple, list]]) -> list:
+    return [[encoded, rows[key]] for key, encoded in order if key in rows]
 
 
 def _decode_rows(raw: list) -> dict:
     return {tuple(key): value for key, value in raw}
+
+
+def _decode_factors(raw: list) -> dict:
+    return {
+        tuple(key): (int(key_p, 16), int(value_p, 16), int(relation_p, 16))
+        for key, (key_p, value_p, relation_p) in raw
+    }
 
 
 def _canonical(body: dict) -> bytes:
@@ -179,7 +205,7 @@ def write_checkpoint(
     seq: int,
     digest: int,
     rows: Mapping[tuple, int],
-    provider_state: tuple[dict, int, int],
+    provider_state: tuple[dict, int, int, dict | None],
     next_txn_id: int,
     config: Mapping[str, object],
     group_modulus: int,
@@ -201,17 +227,24 @@ def write_checkpoint(
     """
     fs = fs if fs is not None else OS_FILESYSTEM
     registry = registry if registry is not None else get_metrics()
-    provider_store, provider_product, provider_digest = provider_state
+    provider_store, provider_product, provider_digest, factors = provider_state
+    order = _key_order(rows, provider_store, factors or {})
+    provider = {
+        "rows": _encode_rows(provider_store, order),
+        "product": hex(provider_product),
+        "digest": hex(provider_digest),
+    }
+    if factors is not None:
+        provider["factors"] = _encode_rows(
+            {key: [hex(prime) for prime in primes] for key, primes in factors.items()},
+            order,
+        )
     body = {
         "format": _FORMAT,
         "seq": seq,
         "digest": hex(digest),
-        "rows": _encode_rows(rows),
-        "provider": {
-            "rows": _encode_rows(provider_store),
-            "product": hex(provider_product),
-            "digest": hex(provider_digest),
-        },
+        "rows": _encode_rows(rows, order),
+        "provider": provider,
         "next_txn_id": next_txn_id,
         "config": dict(config),
         "group": {"modulus": hex(group_modulus), "generator": hex(group_generator)},
@@ -296,6 +329,9 @@ def _load_one(path: str, fs: FileSystem | None = None) -> Checkpoint:
         durability=dict(raw["durability"]),
         digest_log_json=json.dumps(raw["digest_log"]),
         path=path,
+        provider_factors=(
+            _decode_factors(provider["factors"]) if "factors" in provider else None
+        ),
     )
     if checkpoint.provider_digest != checkpoint.digest:
         raise CheckpointError(

@@ -190,12 +190,13 @@ class ServerDesyncError(ReproError):
 
 
 class AnchorMismatchError(ServerDesyncError):
-    """A recovery anchor's two halves disagree.
+    """A recovery anchor's parts disagree.
 
-    Recovery replays from the checkpoint's store rows and may reuse the
+    Recovery replays from the checkpoint's store rows and rolls forward the
     exponent product of the checkpoint's provider ``(store, product,
-    digest)`` triple.  A provider store that differs from those rows cannot
-    anchor both, so recovery refuses it before hashing anything.
+    digest, factors)`` state.  A provider store that differs from those
+    rows, or journaled primes that cover other keys than the store, cannot
+    anchor both, so recovery refuses them before hashing anything.
     """
 
 

@@ -250,7 +250,7 @@ def _write_checkpoint(directory: str, seq: int) -> None:
         seq=seq,
         digest=0x1000 + seq,
         rows={},
-        provider_state=({}, 1, 0x1000 + seq),
+        provider_state=({}, 1, 0x1000 + seq, {}),
         next_txn_id=1,
         config={},
         group_modulus=35,

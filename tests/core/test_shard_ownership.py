@@ -61,7 +61,7 @@ def _foreign_keys(session) -> dict[int, list]:
     """Per shard, every key in its rows or its AD store that it does not own."""
     foreign = {}
     for index, shard in enumerate(session.shards):
-        store, _product, _digest = shard.server.provider.state()
+        store, _product, _digest, _factors = shard.server.provider.state()
         keys = set(shard.server.db.snapshot()) | set(store)
         stray = sorted(k for k in keys if session.shard_map.shard_of(k) != index)
         if stray:

@@ -224,17 +224,18 @@ class TestPropertyBased:
 
 
 class TestAnchoredBuild:
-    """``AuthenticatedDictionary(..., anchor=state)``: reuse ``S`` from an
-    earlier state that holds exactly the same rows, or rebuild it from
-    scratch when any row changed; either way the digest is recomputed."""
+    """``AuthenticatedDictionary(..., anchor=(store, product, factors))``:
+    roll ``S`` forward from an earlier state by the rows that changed, or,
+    when the anchor journaled no factors, rebuild it from scratch; either
+    way the digest is recomputed."""
 
     BASE = {f"row-{i}": 100 + i for i in range(12)}
 
     def _anchor(self, group):
-        store, product, _digest = AuthenticatedDictionary(
+        store, product, _digest, factors = AuthenticatedDictionary(
             group, initial=self.BASE, prime_bits=PRIME_BITS
         ).state()
-        return store, product
+        return store, product, factors
 
     @pytest.mark.parametrize(
         "changes",
@@ -258,27 +259,69 @@ class TestAnchoredBuild:
         )
         assert anchored.changed_keys == len(changes)
         assert scratch.changed_keys == len(final)
+        inserted = len(changes.keys() - self.BASE.keys())
+        assert anchored.rolled_forward and not scratch.rolled_forward
+        assert anchored.primes_hashed == 2 * len(changes) + inserted
+        assert scratch.primes_hashed == 3 * len(final)
 
     def test_unchanged_rows_take_the_anchor_product(self, group):
-        store, product = self._anchor(group)
+        store, product, factors = self._anchor(group)
         anchored = AuthenticatedDictionary(
-            group, initial=self.BASE, prime_bits=PRIME_BITS, anchor=(store, product * 3)
+            group,
+            initial=self.BASE,
+            prime_bits=PRIME_BITS,
+            anchor=(store, product * 3, factors),
         )
         assert anchored.product == product * 3
+        assert anchored.primes_hashed == 0
         assert anchored.digest != AuthenticatedDictionary.commit(
             group, self.BASE, prime_bits=PRIME_BITS
         )
 
-    @pytest.mark.parametrize(
+    CHANGED_ROWS = pytest.mark.parametrize(
         "rows",
         [{**BASE, "row-2": 1}, {k: v for k, v in BASE.items() if k != "row-2"}],
         ids=["changed-row", "dropped-row"],
     )
+
+    @CHANGED_ROWS
     def test_changed_rows_never_read_the_anchor_product(self, group, rows):
-        store, product = self._anchor(group)
+        # An anchor without factors: a checkpoint journaled before them.
+        store, product, _factors = self._anchor(group)
         anchored = AuthenticatedDictionary(
-            group, initial=rows, prime_bits=PRIME_BITS, anchor=(store, product * 3)
+            group,
+            initial=rows,
+            prime_bits=PRIME_BITS,
+            anchor=(store, product * 3, None),
         )
         assert anchored.digest == AuthenticatedDictionary.commit(
             group, rows, prime_bits=PRIME_BITS
         )
+        assert anchored.changed_keys == 1
+        assert not anchored.rolled_forward
+
+    @CHANGED_ROWS
+    def test_changed_rows_roll_the_anchor_product_forward(self, group, rows):
+        store, product, factors = self._anchor(group)
+        anchored = AuthenticatedDictionary(
+            group,
+            initial=rows,
+            prime_bits=PRIME_BITS,
+            anchor=(store, product * 3, factors),
+        )
+        scratch = AuthenticatedDictionary(group, initial=rows, prime_bits=PRIME_BITS)
+        assert anchored.product == scratch.product * 3
+        assert anchored.changed_keys == 1
+        assert anchored.primes_hashed == (2 if "row-2" in rows else 0)
+
+    def test_a_wrong_factor_of_a_changed_key_leaves_a_remainder(self, group):
+        store, product, factors = self._anchor(group)
+        key_p, value_p, relation_p = factors["row-2"]
+        factors["row-2"] = (key_p, value_p + 2, relation_p)
+        with pytest.raises(CryptoError, match="product mismatch"):
+            AuthenticatedDictionary(
+                group,
+                initial={**self.BASE, "row-2": 1},
+                prime_bits=PRIME_BITS,
+                anchor=(store, product, factors),
+            )

@@ -126,7 +126,7 @@ class TestCounters:
         before = ad.state()
         ad.share_base(UNIVERSE)
         assert ad.state() == before
-        assert len(ad.state()) == 3
+        assert len(ad.state()) == 4
 
 
 def _server(group, fault_plan=None) -> LitmusServer:

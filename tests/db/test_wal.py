@@ -272,7 +272,7 @@ def _write_ckpt(directory, seq=1, digest=42, rows=None, **overrides):
         seq=seq,
         digest=digest,
         rows=rows if rows is not None else {("acct", 0): 7},
-        provider_state=({("acct", 0): 7}, 123456789, digest),
+        provider_state=({("acct", 0): 7}, 123456789, digest, {("acct", 0): (7, 3, 5)}),
         next_txn_id=5,
         config={"cc": "dr"},
         group_modulus=0xC5,
@@ -300,7 +300,9 @@ class TestCheckpoints:
         assert loaded.path == path
         assert loaded.seq == 3 and loaded.digest == 99
         assert loaded.rows == {("acct", 0): 7}
-        assert loaded.provider_state == ({("acct", 0): 7}, 123456789, 99)
+        assert loaded.provider_state == (
+            {("acct", 0): 7}, 123456789, 99, {("acct", 0): (7, 3, 5)}
+        )
         assert loaded.next_txn_id == 5
         assert loaded.group_modulus == 0xC5 and loaded.group_generator == 0x04
         assert loaded.durability == {"fsync": "always"}
@@ -349,7 +351,7 @@ class TestCheckpoints:
 
     def test_inconsistent_provider_digest_rejected(self, tmp_path):
         _write_ckpt(
-            tmp_path, digest=5, provider_state=({("acct", 0): 7}, 1, 6)
+            tmp_path, digest=5, provider_state=({("acct", 0): 7}, 1, 6, None)
         )
         with pytest.raises(CheckpointError):
             load_latest_checkpoint(str(tmp_path))

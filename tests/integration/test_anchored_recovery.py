@@ -1,15 +1,16 @@
-"""Recovery reuses the checkpoint's accumulator when the tail changed nothing.
+"""Recovery rolls the checkpoint's accumulator forward by what the tail changed.
 
-``replay_and_rebuild`` anchors on the checkpoint's provider triple
-``(store, product, digest)``: when the replayed WAL tail changed no row it
-takes the journaled product and hashes nothing, otherwise it rebuilds from
-scratch.  These tests pin that both branches land on the state a
-from-scratch build of the same contents has, for restart recovery and
-in-memory ``resync`` alike, and that a checkpoint whose triple was
-tampered with (and re-checksummed so it still loads) is refused: a wrong
-product by the digest cross-check when it is reused, split rows by
+``replay_and_rebuild`` anchors on the checkpoint's provider state
+``(store, product, digest, factors)``: it rolls the journaled product
+forward by the rows the replayed WAL tail changed (a tail that changed
+nothing hashes nothing), or rebuilds from scratch when the checkpoint
+journaled no factors.  These tests pin that recovery lands on the state
+a from-scratch build of the same contents has, for restart recovery and
+in-memory ``resync`` alike, and that a checkpoint whose provider state
+was tampered with (and re-checksummed so it still loads) is refused: a
+wrong product by the digest cross-check, split rows by
 :class:`~repro.errors.AnchorMismatchError` before any hashing.  The
-scrubber re-proves the same triple from scratch, report-only.
+scrubber re-proves the same state from scratch, report-only.
 """
 
 from __future__ import annotations
@@ -122,6 +123,16 @@ def _split_rows(body):
     body["provider"]["rows"][0][1] += 1
 
 
+def _bump_a_value_prime(body):
+    primes = body["provider"]["factors"][0][1]
+    primes[1] = hex(int(primes[1], 16) + 2)
+
+
+def _strip_factors_and_scale_product(body):
+    del body["provider"]["factors"]
+    _scale_product(3)(body)
+
+
 @pytest.mark.parametrize("table", sorted(TABLES))
 def test_recover_and_resync_land_on_the_from_scratch_state(group, tmp_path, table):
     reused = set()
@@ -154,7 +165,7 @@ def test_recover_and_resync_land_on_the_from_scratch_state(group, tmp_path, tabl
         finally:
             recovered.close()
         reused.add(changed == 0)
-    # The tails cover both branches: product reused and rebuilt.
+    # The tails cover a tail that changed nothing and tails that did.
     assert reused == {True, False}
 
 
@@ -173,13 +184,16 @@ def test_tampered_product_is_refused_when_reused(group, tmp_path, tamper):
 
 
 def test_a_rebuilt_accumulator_never_reads_the_product(group, tmp_path):
+    # Without journaled factors (a checkpoint written before them) the
+    # accumulator is rebuilt from the rows alone.
     session, programs = _run(group, tmp_path, "transfer", 1)
     final = session.server.db.snapshot()
     session.close()
-    _rewrite_newest_checkpoint(tmp_path, _scale_product(3))
+    _rewrite_newest_checkpoint(tmp_path, _strip_factors_and_scale_product)
     recovered = _recover(tmp_path, programs, group)
     try:
         assert recovered.recovery_report.changed_keys > 0
+        assert recovered.recovery_report.accumulator_path == "rebuilt"
         scratch = LitmusServer(initial=final, config=CONFIG, group=group)
         assert recovered.server.provider.state() == scratch.provider.state()
     finally:
@@ -204,8 +218,12 @@ class TestScrubReprovesTheAnchor:
 
     @pytest.mark.parametrize(
         "tamper, problem",
-        [(_bump_product, "product S"), (_split_rows, "provider rows")],
-        ids=["product", "split-rows"],
+        [
+            (_bump_product, "product S"),
+            (_split_rows, "provider rows"),
+            (_bump_a_value_prime, "journaled primes of 1 row(s)"),
+        ],
+        ids=["product", "split-rows", "factor"],
     )
     def test_tampered_anchor_is_reported_not_repaired(
         self, group, tmp_path, tamper, problem
