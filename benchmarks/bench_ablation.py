@@ -133,50 +133,26 @@ def test_ablation_certified_primes(benchmark):
     assert certified > fast
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_ablation_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale batching/prover ablation; headline = full co-design."""
+def ablation_metrics(num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale batching/prover ablation of the modeled co-design."""
     from repro.bench.model import zipf_contention_scale
 
-    model = LitmusModel(ycsb_profile(0.6, config["scale"]))
+    model = LitmusModel(ycsb_profile(0.6, scale))
     scale_factor = zipf_contention_scale(0.6, 4096)
     drm = model.litmus_run(
-        config["num_txns"], num_provers=75, cc="dr",
+        num_txns, num_provers=75, cc="dr",
         processing_batch_size=81_920, contention_scale=scale_factor,
     )
     dr = model.litmus_run(
-        config["num_txns"], num_provers=1, cc="dr",
+        num_txns, num_provers=1, cc="dr",
         processing_batch_size=81_920, contention_scale=scale_factor,
     )
-    tpl = model.litmus_run(config["num_txns"], num_provers=1, cc="2pl")
-    rows = (
-        {"configuration": "aggregation + 75 provers", "throughput": drm.throughput},
-        {"configuration": "aggregation, 1 prover", "throughput": dr.throughput},
-        {"configuration": "no aggregation, 1 prover", "throughput": tpl.throughput},
-    )
-    metrics = {
+    tpl = model.litmus_run(num_txns, num_provers=1, cc="2pl")
+    return {
         "throughput": drm.throughput,
         "prover_gain": drm.throughput / dr.throughput,
         "batching_gain": dr.throughput / tpl.throughput,
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=rows, counts=counts, metrics=metrics)
-
-
-ABLATION_TRIAL = register(
-    TrialSpec(
-        name="figures/ablation_codesign",
-        area="figures",
-        bench_file="bench_ablation.py",
-        runner=run_ablation_trial,
-        config={"num_txns": 81_920, "scale": 160},
-        seed=11,
-        headline=("throughput",),
-        description="Batching and multi-prover ablation of the co-design.",
-    )
-)

@@ -76,42 +76,3 @@ def test_backend_comparison(benchmark):
     # Constant-size vs opening-based proofs: the documented trade-off.
     assert groth16["proof_bytes"] == 312 * groth16["pieces"]
     assert spotcheck["proof_bytes"] > groth16["proof_bytes"]
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-TRIAL_TXNS = 16
-
-
-def run_backends_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Real wall-clock backend comparison on one identical verified batch."""
-    group = default_group(bits=512)
-    rows = [run_backend(name, group) for name in config["backends"]]
-    by_backend = {row["backend"]: row for row in rows}
-    groth16 = by_backend["groth16"]
-    metrics = {"latency_verify": groth16["client_seconds"]}
-    for name, row in by_backend.items():
-        metrics[f"throughput_{name}"] = TRIAL_TXNS / row["server_seconds"]
-    metrics["throughput"] = metrics["throughput_groth16"]
-    counts = {
-        "txns": TRIAL_TXNS * len(rows),
-        "pieces": sum(row["pieces"] for row in rows),
-        "proof_bytes_groth16": groth16["proof_bytes"],
-    }
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-BACKENDS_TRIAL = register(
-    TrialSpec(
-        name="crypto/backend_compare",
-        area="crypto",
-        bench_file="bench_backends.py",
-        runner=run_backends_trial,
-        config={"backends": ["groth16", "spotcheck"]},
-        seed=7,
-        headline=("throughput", "latency_verify"),
-        description="Groth16 vs spot-check backends on one verified batch.",
-    )
-)

@@ -35,39 +35,15 @@ def test_reference_constants(benchmark):
     assert 10_000 < ref["proof_bytes_total"]["ours"] < 40_000
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_constants_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Section 8 headline constants; headline = modeled DRM peak."""
-    ref = reference_constants(scale=config["scale"])
-    rows = tuple(
-        {"metric": name, "ours": float(entry["ours"]), "paper": float(entry["paper"])}
-        for name, entry in ref.items()
-        if isinstance(entry, dict) and "ours" in entry and "paper" in entry
-    )
-    metrics = {
+def constants_metrics(scale: int) -> dict[str, float]:
+    """Section 8 headline constants: the modeled peaks and their ratios."""
+    ref = reference_constants(scale=scale)
+    return {
         "throughput": float(ref["drm_peak"]["ours"]),
         "throughput_dr": float(ref["dr_peak"]["ours"]),
         "drm_over_dr": float(ref["drm_over_dr"]["ours"]),
         "dr_over_2pl": float(ref["dr_over_2pl"]["ours"]),
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=rows, counts=counts, metrics=metrics)
-
-
-CONSTANTS_TRIAL = register(
-    TrialSpec(
-        name="figures/constants_section8",
-        area="figures",
-        bench_file="bench_constants.py",
-        runner=run_constants_trial,
-        config={"scale": 160},
-        seed=11,
-        headline=("throughput",),
-        description="Section 8 constants: modeled peaks vs paper anchors.",
-    )
-)

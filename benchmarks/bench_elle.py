@@ -52,44 +52,3 @@ def test_elle_comparison(benchmark):
     assert result["measured_txns_per_second"] > 0
     # Litmus's client-side verification is constant regardless of scale.
     assert result["litmus_client_verify_seconds"] == 300.0
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-
-def run_elle_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Real Elle checker over a real scaled history; wall-clock, not gated."""
-    result = elle_comparison(scale=config["scale"])
-    rows = (
-        {"metric": "serializable", "value": bool(result["serializable"])},
-        {"metric": "txns_analyzed", "value": int(result["num_txns"])},
-        {
-            "metric": "litmus_verify_seconds",
-            "value": float(result["litmus_client_verify_seconds"]),
-        },
-    )
-    metrics = {
-        "elle_txns_per_second": float(result["measured_txns_per_second"]),
-        "elle_analysis_seconds": float(result["measured_analysis_seconds"]),
-    }
-    counts = {
-        "txns": int(result["num_txns"]),
-        "serializable": int(bool(result["serializable"])),
-    }
-    return TrialMeasurement(rows=rows, counts=counts, metrics=metrics)
-
-
-ELLE_TRIAL = register(
-    TrialSpec(
-        name="figures/elle_checker",
-        area="figures",
-        bench_file="bench_elle.py",
-        runner=run_elle_trial,
-        config={"scale": 400},
-        seed=11,
-        headline=(),
-        description="Section 8.3: real Elle analysis over a scaled history.",
-    )
-)

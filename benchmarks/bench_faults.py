@@ -175,183 +175,3 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(main())
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-
-def run_faults_trial(config: dict, seed: int) -> TrialMeasurement:
-    """One adversarial verification round per fault class; not gated."""
-    rows = run_fault_matrix(kinds=tuple(config["kinds"]), seed=seed)
-    metrics = {"recovery_seconds_total": sum(row["seconds"] for row in rows)}
-    counts = {
-        "faults": len(rows),
-        "injected": sum(row["injected"] for row in rows),
-        "rejections": sum(row["rejections"] for row in rows),
-        "recovered": sum(1 for row in rows if row["recovered"]),
-    }
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FAULTS_TRIAL = register(
-    TrialSpec(
-        name="faults/recovery_matrix",
-        area="faults",
-        bench_file="bench_faults.py",
-        runner=run_faults_trial,
-        config={"kinds": ["corrupt_proof", "tamper_digest", "drop_message"]},
-        seed=SEED,
-        headline=(),
-        description="Fault-injection rounds: detection and recovery per class.",
-    )
-)
-
-
-def run_nemesis_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Seeded chaos episodes against durable sharded sessions; not gated.
-
-    Each configured seed generates its own schedule (crash steps targeting
-    real cross-shard rounds, paired WAL corruption, retryable faults), runs
-    it in a throwaway directory, and records the referee's verdict.  Every
-    episode must end with ``ok=True`` — the sweep doubles as a slow-path
-    atomicity/durability check inside the bench matrix.
-    """
-    import tempfile
-
-    from repro.faults import generate_schedule, run_nemesis
-    from repro.obs.metrics import MetricsRegistry
-
-    rows = []
-    for run_seed in config["seeds"]:
-        registry = MetricsRegistry()
-        with tempfile.TemporaryDirectory(prefix="bench-nemesis-") as directory:
-            report = run_nemesis(
-                generate_schedule(
-                    seed=run_seed,
-                    steps=config["steps"],
-                    num_shards=config["shards"],
-                ),
-                directory=directory,
-                seed=run_seed,
-                num_shards=config["shards"],
-                registry=registry,
-            )
-        rows.append(
-            {
-                "seed": run_seed,
-                "ops": report.ops,
-                "crashes": report.crashes,
-                "recoveries": report.recoveries,
-                "injected": report.injected,
-                "in_doubt_resolved": report.in_doubt_resolved,
-                "compensations": report.compensations,
-                "ok": report.ok,
-                "seconds": round(report.duration_seconds, 3),
-            }
-        )
-    counts = {
-        "seeds": len(rows),
-        "ops": sum(row["ops"] for row in rows),
-        "crashes": sum(row["crashes"] for row in rows),
-        "recoveries": sum(row["recoveries"] for row in rows),
-        "in_doubt_resolved": sum(row["in_doubt_resolved"] for row in rows),
-        "clean": sum(1 for row in rows if row["ok"]),
-    }
-    metrics = {"chaos_seconds_total": sum(row["seconds"] for row in rows)}
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-NEMESIS_TRIAL = register(
-    TrialSpec(
-        name="faults/nemesis_chaos",
-        area="faults",
-        bench_file="bench_faults.py",
-        runner=run_nemesis_trial,
-        config={"seeds": [0, 1, 2], "steps": 8, "shards": 3},
-        seed=SEED,
-        headline=(),
-        description=(
-            "Seeded nemesis chaos episodes: shard-targeted crashes mid "
-            "cross-shard round with in-doubt recovery after each."
-        ),
-    )
-)
-
-
-def run_disk_nemesis_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Chaos episodes where the disk misbehaves too; not gated.
-
-    Same referee as ``faults/nemesis_chaos``, but the generated schedules
-    interleave disk-fault steps (fsync failures that down the deployment,
-    absorbed write EIO/ENOSPC/short writes) and checkpoint rot with the
-    crash steps.  Every episode must still end with ``ok=True`` — zero
-    acked-data loss with a hostile disk under the deployment.
-    """
-    import tempfile
-
-    from repro.faults import generate_schedule, run_nemesis
-    from repro.obs.metrics import MetricsRegistry
-
-    rows = []
-    for run_seed in config["seeds"]:
-        registry = MetricsRegistry()
-        with tempfile.TemporaryDirectory(prefix="bench-disknem-") as directory:
-            report = run_nemesis(
-                generate_schedule(
-                    seed=run_seed,
-                    steps=config["steps"],
-                    num_shards=config["shards"],
-                    disk_fault_fraction=config["disk_fault_fraction"],
-                ),
-                directory=directory,
-                seed=run_seed,
-                num_shards=config["shards"],
-                registry=registry,
-            )
-        rows.append(
-            {
-                "seed": run_seed,
-                "ops": report.ops,
-                "crashes": report.crashes,
-                "disk_faults": report.disk_faults,
-                "recoveries": report.recoveries,
-                "in_doubt_resolved": report.in_doubt_resolved,
-                "ok": report.ok,
-                "seconds": round(report.duration_seconds, 3),
-            }
-        )
-    counts = {
-        "seeds": len(rows),
-        "ops": sum(row["ops"] for row in rows),
-        "crashes": sum(row["crashes"] for row in rows),
-        "disk_faults": sum(row["disk_faults"] for row in rows),
-        "recoveries": sum(row["recoveries"] for row in rows),
-        "clean": sum(1 for row in rows if row["ok"]),
-    }
-    metrics = {"disk_chaos_seconds_total": sum(row["seconds"] for row in rows)}
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-DISK_NEMESIS_TRIAL = register(
-    TrialSpec(
-        name="faults/disk_nemesis",
-        area="faults",
-        bench_file="bench_faults.py",
-        runner=run_disk_nemesis_trial,
-        config={
-            "seeds": [3, 11],
-            "steps": 10,
-            "shards": 3,
-            "disk_fault_fraction": 0.25,
-        },
-        seed=SEED,
-        headline=(),
-        description=(
-            "Disk-fault nemesis: chaos schedules with injected fsync "
-            "failures, write errors, and checkpoint rot; referee demands "
-            "zero acked-data loss."
-        ),
-    )
-)

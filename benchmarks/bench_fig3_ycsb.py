@@ -64,36 +64,17 @@ def test_fig3_throughput_and_latency(benchmark):
     assert small["AD-Interact-1ms"]["latency"] < 1.0
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig3_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 3 sweep; headline = modeled DRM peak point."""
-    batches = tuple(config["batch_sizes"])
-    rows = fig3_ycsb_throughput_latency(batch_sizes=batches, scale=config["scale"])
+def fig3_metrics(batch_sizes: list[int], scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 3 sweep: the modeled Litmus-DRM point at the top batch."""
+    batches = tuple(batch_sizes)
+    rows = fig3_ycsb_throughput_latency(batch_sizes=batches, scale=scale)
     peak = _by_baseline(rows, batches[-1])
-    metrics = {
+    return {
         "throughput": peak["Litmus-DRM"]["throughput"],
         "latency": peak["Litmus-DRM"]["latency"],
         "drm_over_dr": peak["Litmus-DRM"]["throughput"]
         / peak["Litmus-DR"]["throughput"],
     }
-    counts = ycsb_counts(scale=config["scale"], theta=config["theta"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG3_TRIAL = register(
-    TrialSpec(
-        name="pipeline/fig3_ycsb",
-        area="pipeline",
-        bench_file="bench_fig3_ycsb.py",
-        runner=run_fig3_trial,
-        config={"batch_sizes": [320, 5_120, 81_920], "scale": 160, "theta": 0.6},
-        seed=11,
-        headline=("throughput", "latency"),
-        description="Fig 3 YCSB sweep: Litmus-DRM peak throughput/latency.",
-    )
-)

@@ -46,17 +46,12 @@ def test_fig4_tpcc(benchmark):
         assert peak(subset, "No-Verification-DR") > peak(subset, "Litmus-DRM")
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import tpcc_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig4_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 4; headline = peak New Order DRM throughput."""
-    rows = fig4_tpcc_throughput(
-        batch_sizes=tuple(config["batch_sizes"]), scale=config["scale"]
-    )
+def fig4_metrics(batch_sizes: list[int], scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 4: peak modeled Litmus-DRM throughput per transaction."""
+    rows = fig4_tpcc_throughput(batch_sizes=tuple(batch_sizes), scale=scale)
 
     def peak(transaction: str) -> float:
         return max(
@@ -66,23 +61,7 @@ def run_fig4_trial(config: dict, seed: int) -> TrialMeasurement:
             and row["baseline"] == "Litmus-DRM"
         )
 
-    metrics = {
+    return {
         "throughput": peak("new_order"),
         "throughput_payment": peak("payment"),
     }
-    counts = tpcc_counts("new_order", config["scale"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG4_TRIAL = register(
-    TrialSpec(
-        name="figures/fig4_tpcc",
-        area="figures",
-        bench_file="bench_fig4_tpcc.py",
-        runner=run_fig4_trial,
-        config={"batch_sizes": [320, 5_120], "scale": 60},
-        seed=13,
-        headline=("throughput",),
-        description="Fig 4 TPC-C: peak Litmus-DRM New Order throughput.",
-    )
-)

@@ -51,37 +51,16 @@ def test_fig5_processing_batch(benchmark):
     assert noverif_latency[-1] > noverif_latency[0]
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig5_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 5; headline = best DRM point across the sweep."""
+def fig5_metrics(processing: list[int], num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 5: the best modeled Litmus-DRM point of the sweep."""
     rows = fig5_processing_batch(
-        processing_batch_sizes=tuple(config["processing"]),
-        num_txns=config["num_txns"],
-        scale=config["scale"],
+        processing_batch_sizes=tuple(processing), num_txns=num_txns, scale=scale
     )
     drm = [row for row in rows if row["baseline"] == "Litmus-DRM"]
-    metrics = {
+    return {
         "throughput": max(row["throughput"] for row in drm),
         "latency": min(row["latency"] for row in drm),
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG5_TRIAL = register(
-    TrialSpec(
-        name="figures/fig5_processing_batch",
-        area="figures",
-        bench_file="bench_fig5_processing_batch.py",
-        runner=run_fig5_trial,
-        config={"processing": [32, 3_200, 320_000], "num_txns": 81_920, "scale": 160},
-        seed=11,
-        headline=("throughput", "latency"),
-        description="Fig 5 DR processing-batch sweep: best Litmus-DRM point.",
-    )
-)

@@ -166,39 +166,19 @@ def test_fig6_real_pipeline(benchmark):
         assert rows[-1]["prove_wall_s"] < rows[0]["prove_wall_s"]
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig6_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 6 sweep; headline = top-thread-count point."""
-    threads = tuple(config["threads"])
+def fig6_metrics(threads: list[int], num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 6: modeled Litmus-DRM at the top thread count."""
     rows = fig6_prover_threads(
-        thread_counts=threads, num_txns=config["num_txns"], scale=config["scale"]
+        thread_counts=tuple(threads), num_txns=num_txns, scale=scale
     )
     by_threads = {row["prover_threads"]: row for row in rows}
     top, bottom = max(threads), min(threads)
-    metrics = {
+    return {
         "throughput": by_threads[top]["throughput"],
         "latency": by_threads[top]["latency"],
         "thread_speedup": by_threads[top]["throughput"]
         / by_threads[bottom]["throughput"],
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG6_TRIAL = register(
-    TrialSpec(
-        name="pipeline/fig6_prover_scaling",
-        area="pipeline",
-        bench_file="bench_fig6_prover_threads.py",
-        runner=run_fig6_trial,
-        config={"threads": [1, 4, 16, 64], "num_txns": 81_920, "scale": 160},
-        seed=11,
-        headline=("throughput", "latency"),
-        description="Fig 6 prover-thread scaling: Litmus-DRM at 64 threads.",
-    )
-)

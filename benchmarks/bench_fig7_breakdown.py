@@ -43,38 +43,17 @@ def test_fig7_breakdown(benchmark):
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig7_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 7 breakdown; shares tracked, nothing gated."""
+def fig7_metrics(threads: list[int], num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 7: time-breakdown shares at the low and high ends."""
     rows = fig7_time_breakdown(
-        thread_counts=tuple(config["threads"]),
-        num_txns=config["num_txns"],
-        scale=config["scale"],
+        thread_counts=tuple(threads), num_txns=num_txns, scale=scale
     )
     low, high = rows[0], rows[-1]
-    metrics = {
+    return {
         "trace_share_low": low["process_traces"],
         "keygen_share_high": high["key_generation"],
         "proving_share_high": high["proving"],
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG7_TRIAL = register(
-    TrialSpec(
-        name="figures/fig7_breakdown",
-        area="figures",
-        bench_file="bench_fig7_breakdown.py",
-        runner=run_fig7_trial,
-        config={"threads": [20, 80], "num_txns": 2_621_440, "scale": 160},
-        seed=11,
-        headline=(),
-        description="Fig 7 time-breakdown shares at low/high thread counts.",
-    )
-)

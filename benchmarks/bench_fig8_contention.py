@@ -42,18 +42,12 @@ def test_fig8_contention(benchmark):
     assert interactive[-1] >= interactive[0]
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig8_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 8; headline = uniform-workload DRM throughput."""
-    thetas = tuple(config["thetas"])
-    rows = fig8_contention(
-        thetas=thetas, num_txns=config["num_txns"], scale=config["scale"]
-    )
+def fig8_metrics(thetas: list[float], num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 8: modeled Litmus-DRM at the first and last theta."""
+    rows = fig8_contention(thetas=tuple(thetas), num_txns=num_txns, scale=scale)
 
     def drm(theta: float) -> float:
         return next(
@@ -62,24 +56,8 @@ def run_fig8_trial(config: dict, seed: int) -> TrialMeasurement:
             if row["baseline"] == "Litmus-DRM" and row["theta"] == theta
         )
 
-    metrics = {
+    return {
         "throughput": drm(thetas[0]),
         "throughput_contended": drm(thetas[-1]),
         "contention_retention": drm(thetas[-1]) / drm(thetas[0]),
     }
-    counts = ycsb_counts(scale=config["scale"], theta=thetas[-1])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG8_TRIAL = register(
-    TrialSpec(
-        name="figures/fig8_contention",
-        area="figures",
-        bench_file="bench_fig8_contention.py",
-        runner=run_fig8_trial,
-        config={"thetas": [0.0, 0.8], "num_txns": 81_920, "scale": 160},
-        seed=11,
-        headline=("throughput",),
-        description="Fig 8 contention sweep: DRM under uniform vs Zipf 0.8.",
-    )
-)

@@ -35,36 +35,15 @@ def test_fig9_table_size(benchmark):
         assert our_ratio == pytest.approx(paper_ratio, abs=0.10)
 
 
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-from repro.bench.experiment.counts import ycsb_counts
+# --- pinned modeled metrics (tests/bench/test_paper_figures.py) --------------
 
 
-def run_fig9_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Reduced-scale Fig 9; headline = 10G-table DRM throughput."""
+def fig9_metrics(doublings: list[int], num_txns: int, scale: int) -> dict[str, float]:
+    """Reduced-scale Fig 9: modeled DRM at the smallest table and its decay."""
     rows = fig9_table_size(
-        doublings=tuple(config["doublings"]),
-        num_txns=config["num_txns"],
-        scale=config["scale"],
+        doublings=tuple(doublings), num_txns=num_txns, scale=scale
     )
-    metrics = {
+    return {
         "throughput": rows[0]["throughput"],
         "decay_retention": rows[-1]["throughput"] / rows[0]["throughput"],
     }
-    counts = ycsb_counts(scale=config["scale"])
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-FIG9_TRIAL = register(
-    TrialSpec(
-        name="figures/fig9_table_size",
-        area="figures",
-        bench_file="bench_fig9_table_size.py",
-        runner=run_fig9_trial,
-        config={"doublings": [0, 3], "num_txns": 81_920, "scale": 160},
-        seed=11,
-        headline=("throughput",),
-        description="Fig 9 table-size decay: DRM throughput at 10G vs 80G.",
-    )
-)

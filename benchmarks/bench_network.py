@@ -218,41 +218,3 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(main())
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-
-def run_network_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Loopback service swarm; headline = largest-swarm flush throughput."""
-    rows = run_network_bench(client_counts=tuple(config["clients"]))
-    top = rows[-1]
-    metrics = {
-        "throughput": float(top["txns_per_s"]),
-        "latency_p95": top["op_p95_ms"] / 1e3,
-        "rtt_p50_us": float(rows[0]["ping_p50_us"]),
-    }
-    counts = {
-        "txns": sum(row["txns"] for row in rows),
-        "clients_max": max(config["clients"]),
-        "swarms": len(rows),
-    }
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-NETWORK_TRIAL = register(
-    TrialSpec(
-        name="network/rtt_flush",
-        area="network",
-        bench_file="bench_network.py",
-        runner=run_network_trial,
-        config={"clients": [1, 2]},
-        seed=7,
-        # op_p95 on a shared CI box is too jittery to gate; it is still
-        # recorded in metrics for trend inspection.
-        headline=("throughput",),
-        description="Networked service: RTT and flush throughput vs swarm size.",
-    )
-)

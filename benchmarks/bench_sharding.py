@@ -147,6 +147,18 @@ def scaling_ratio(rows: list[dict], shards: int = 4, cross_pct: int = 0) -> floa
     return tput(shards) / tput(1)
 
 
+def scaling_metrics(shards: list[int], cross_ratios: list[float]) -> dict[str, float]:
+    """Modeled S=4 throughput at 0% cross-shard and its ratio over S=1."""
+    rows = run_sharding_model(
+        shard_counts=tuple(shards), cross_ratios=tuple(cross_ratios)
+    )
+    top = next(r for r in rows if r["shards"] == 4 and r["cross_pct"] == 0)
+    return {
+        "throughput": float(top["txns_per_s"]),
+        "scaling_x": round(scaling_ratio(rows), 3),
+    }
+
+
 def run_live_sharding(
     shard_counts=LIVE_SHARDS, registry: MetricsRegistry | None = None
 ) -> list[dict]:
@@ -272,49 +284,3 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(main())
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-
-def run_sharding_trial(config: dict, seed: int) -> TrialMeasurement:
-    """Modeled scaling matrix; headline = S=4 throughput at 0% cross."""
-    rows = run_sharding_model(
-        shard_counts=tuple(config["shards"]),
-        cross_ratios=tuple(config["cross_ratios"]),
-    )
-    top = next(r for r in rows if r["shards"] == 4 and r["cross_pct"] == 0)
-    base = next(r for r in rows if r["shards"] == 1 and r["cross_pct"] == 0)
-    live = run_live_sharding(shard_counts=tuple(config["live_shards"]))
-    metrics = {
-        "throughput": float(top["txns_per_s"]),
-        "scaling_x": round(top["txns_per_s"] / base["txns_per_s"], 3),
-        "live_wall_ms_s4": float(live[-1]["wall_ms"]),
-    }
-    counts = {
-        "modeled_rows": len(rows),
-        "live_rows": len(live),
-        "live_cross_txns": sum(row["cross"] for row in live),
-    }
-    return TrialMeasurement(rows=tuple(rows + live), counts=counts, metrics=metrics)
-
-
-SHARDING_TRIAL = register(
-    TrialSpec(
-        name="sharding/scaling",
-        area="sharding",
-        bench_file="bench_sharding.py",
-        runner=run_sharding_trial,
-        config={
-            "shards": [1, 2, 4, 8],
-            "cross_ratios": [0.0, 0.1],
-            "live_shards": [1, 4],
-        },
-        seed=7,
-        # live_wall_ms is wall-clock on a shared box — recorded, not gated.
-        headline=("throughput",),
-        description="Sharded engine: modeled scaling S=1..8 plus live fan-out.",
-    )
-)

@@ -173,46 +173,3 @@ if __name__ == "__main__":
     import sys
 
     sys.exit(main())
-
-
-# --- orchestrated trial (python -m repro --bench) ---------------------------
-
-from repro.bench.experiment import TrialMeasurement, TrialSpec, register
-
-
-def run_wal_trial(config: dict, seed: int) -> TrialMeasurement:
-    """WAL appends per fsync policy + one checkpoint round trip."""
-    rows = run_wal_bench(
-        num_records=config["records"], payload_bytes=config["payload_bytes"]
-    )
-    by_policy = {row["fsync"]: row for row in rows}
-    ckpt = run_checkpoint_bench(num_rows=config["checkpoint_rows"])
-    metrics = {
-        "throughput": float(by_policy["batch"]["records_per_s"]),
-        "throughput_always": float(by_policy["always"]["records_per_s"]),
-        "throughput_scan": float(by_policy["batch"]["scan_records_per_s"]),
-        "latency_checkpoint_write": ckpt["write_ms"] / 1e3,
-        "latency_checkpoint_load": ckpt["load_ms"] / 1e3,
-    }
-    counts = {
-        "records": config["records"] * 3,
-        "fsyncs_always": int(by_policy["always"]["fsyncs"]),
-        "fsyncs_batch": int(by_policy["batch"]["fsyncs"]),
-        "fsyncs_never": int(by_policy["never"]["fsyncs"]),
-        "checkpoint_rows": config["checkpoint_rows"],
-    }
-    return TrialMeasurement(rows=tuple(rows), counts=counts, metrics=metrics)
-
-
-WAL_TRIAL = register(
-    TrialSpec(
-        name="wal/append_fsync",
-        area="wal",
-        bench_file="bench_wal.py",
-        runner=run_wal_trial,
-        config={"records": 96, "payload_bytes": PAYLOAD_BYTES, "checkpoint_rows": 500},
-        seed=7,
-        headline=("throughput",),
-        description="WAL append throughput per fsync policy + checkpoint cost.",
-    )
-)

@@ -4,7 +4,7 @@
 Usage::
 
     python benchmarks/check_metrics_schema.py FILE [FILE ...] \
-        [--require METRIC_NAME ...] [--bench BENCH_FILE ...]
+        [--require METRIC_NAME ...]
 
 Every line of every file must be a JSON object with ``kind`` either
 ``"span"`` or ``"metric"``:
@@ -41,13 +41,6 @@ cross-shard commit protocol (``xshard.intents``, ``xshard.commits``,
 prover's witness counters (``authdict.lookups``,
 ``authdict.shared_base.builds``, ``authdict.shared_base.witnesses``,
 ``authdict.shared_base.fallbacks``).
-
-``--bench PATH`` (repeatable) validates an orchestrated ``BENCH_<area>.json``
-trajectory instead: the file is loaded through
-``repro.bench.experiment.load_trajectory``, which re-checks every trial
-record against the versioned schema (including the identity
-``record_hash``) — CI runs it over every trajectory at the repo root after
-``python -m repro --bench``.
 
 Exit status 0 iff every line of every file validates and at least one
 record was seen; CI runs this against the ``--metrics-out``/``--trace-out``
@@ -148,33 +141,8 @@ def check_file(path: str, errors: list[str], metric_names: set[str]) -> int:
     return seen
 
 
-def check_bench_trajectory(path: str, errors: list[str]) -> int:
-    """Validate one BENCH_<area>.json through the experiment schema."""
-    try:
-        from repro.bench.experiment import load_trajectory
-        from repro.errors import BenchError
-    except ImportError:
-        import pathlib
-
-        sys.path.insert(
-            0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        )
-        from repro.bench.experiment import load_trajectory
-        from repro.errors import BenchError
-    try:
-        doc = load_trajectory(path)
-    except BenchError as exc:
-        errors.append(f"{path}: {exc}")
-        return 0
-    if not doc["entries"]:
-        errors.append(f"{path}: trajectory has no entries")
-        return 0
-    return sum(len(entry["trials"]) for entry in doc["entries"])
-
-
 def main(argv: list[str]) -> int:
     paths: list[str] = []
-    bench_paths: list[str] = []
     required: list[str] = []
     it = iter(argv)
     for arg in it:
@@ -184,15 +152,9 @@ def main(argv: list[str]) -> int:
                 print("SCHEMA ERROR: --require needs a metric name", file=sys.stderr)
                 return 2
             required.append(name)
-        elif arg == "--bench":
-            name = next(it, None)
-            if name is None:
-                print("SCHEMA ERROR: --bench needs a file path", file=sys.stderr)
-                return 2
-            bench_paths.append(name)
         else:
             paths.append(arg)
-    if not paths and not bench_paths:
+    if not paths:
         print(__doc__, file=sys.stderr)
         return 2
     errors: list[str] = []
@@ -202,10 +164,6 @@ def main(argv: list[str]) -> int:
         count = check_file(path, errors, metric_names)
         total += count
         print(f"{path}: {count} record(s)")
-    for path in bench_paths:
-        count = check_bench_trajectory(path, errors)
-        total += count
-        print(f"{path}: {count} trial record(s)")
     if total == 0:
         errors.append("no records found in any input file")
     for name in required:

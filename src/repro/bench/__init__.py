@@ -13,13 +13,10 @@ The harness combines
 Each ``fig*`` function in :mod:`repro.bench.figures` returns the rows or
 series of the corresponding paper figure/table; :mod:`repro.bench.report`
 formats them for terminal output, and ``benchmarks/`` wraps each one in a
-pytest-benchmark target.
-
-The orchestrated path lives next to it: :mod:`repro.bench.experiment`
-declares the trial matrix (each ``benchmarks/bench_*.py`` registers a
-:class:`~repro.bench.experiment.TrialSpec`), ``python -m repro --bench``
-runs it into the repo-root ``BENCH_<area>.json`` trajectories, and
-:mod:`repro.bench.gate` fails CI on headline perf regressions.
+pytest-benchmark target.  Reduced-scale metrics derived from these
+functions are pinned exactly by ``tests/bench/test_paper_figures.py``
+against the repo-root ``BENCH_figures.json``.  Measured numbers for the
+running system come from ``benchmarks/e2e``.
 """
 
 from .model import LitmusModel, ModeledRun, WorkloadProfile

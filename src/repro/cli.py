@@ -8,8 +8,12 @@ Usage::
     python -m repro elle
     python -m repro all [--scale N]
 
-Each command prints the corresponding paper figure/table; ``all`` runs the
-whole evaluation section (this is what EXPERIMENTS.md is built from).
+Each command prints the corresponding paper figure/table to stdout; ``all``
+runs the whole evaluation section (this is what EXPERIMENTS.md is built
+from).  The numbers are modeled, and reduced-scale versions of them are
+pinned exactly by ``tests/bench/test_paper_figures.py`` against the
+repo-root ``BENCH_figures.json`` (DESIGN.md §13); measured wall-clock
+numbers come only from ``benchmarks/e2e``.
 
 Every command additionally accepts the observability flag pair::
 
@@ -20,23 +24,6 @@ rates, SNARK counters, db commit/abort totals, ...) as JSON lines after the
 command ran; ``--trace-out`` writes every finished span of the run.  Both
 files follow the format of :mod:`repro.obs.exporters` and are validated in
 CI by ``benchmarks/check_metrics_schema.py``.
-
-The orchestrated benchmark matrix (DESIGN.md §13)::
-
-    python -m repro --bench [--area pipeline ...] [--bless]
-    python -m repro --bench --list-trials
-    python -m repro --bench-gate [--gate-mode report|enforce]
-
-``--bench`` discovers every registered ``benchmarks/bench_*.py`` trial
-(:mod:`repro.bench.experiment`), runs the selected areas with fixed seeds
-and per-trial timeouts, writes the legacy ``benchmarks/results/*.txt``
-report and the JSON trial record from the same rows, and appends one entry
-per area to the repo-root ``BENCH_<area>.json`` trajectory.  ``--bless``
-marks the appended entries as the pinned gate baseline (how an intentional
-regression is accepted).  ``--bench-gate`` compares the newest entry of
-each trajectory against its baseline (:mod:`repro.bench.gate`) and, in
-enforcing mode, exits 1 with a diff report on a >15% headline throughput
-drop or a >20% headline latency rise.
 
 The adversarial demo runs the rejected-batch recovery story end-to-end::
 
@@ -560,61 +547,6 @@ def _chaos_demo(seed: int, shards: int) -> tuple[str, int]:
     return "\n".join(lines), 0 if report.ok else 1
 
 
-def _bench_cmd(areas: list[str] | None, bless: bool) -> int:
-    """Run the orchestrated trial matrix and append the trajectories."""
-    from .bench.experiment import discover, run_areas
-    from .errors import BenchError
-
-    try:
-        recorded = run_areas(areas, matrix=discover(), bless=bless, echo=print)
-    except BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    total = sum(len(records) for records in recorded.values())
-    print(
-        f"recorded {total} trial(s) across {len(recorded)} area(s): "
-        + ", ".join(sorted(recorded))
-    )
-    return 0
-
-
-def _list_trials_cmd() -> int:
-    """Print the registered trial matrix as a table."""
-    from .bench import format_table
-    from .bench.experiment import discover
-    from .errors import BenchError
-
-    try:
-        matrix = discover()
-    except BenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = [
-        {
-            "trial": spec.name,
-            "bench_file": spec.bench_file,
-            "seed": spec.seed,
-            "repeats": spec.repeats,
-            "headline": ",".join(spec.headline) or "-",
-            "config": ", ".join(f"{k}={v}" for k, v in sorted(spec.config.items())),
-        }
-        for spec in matrix
-    ]
-    print(f"Trial matrix — {len(rows)} registered trial(s)")
-    print(format_table(rows))
-    return 0
-
-
-def _bench_gate_cmd(areas: list[str] | None, mode: str) -> int:
-    """Run the perf-regression gate over the recorded trajectories."""
-    from .bench import gate
-
-    argv = ["--mode", mode]
-    for area in areas or ():
-        argv += ["--area", area]
-    return gate.main(argv)
-
-
 def _parse_address(address: str) -> tuple[str, int]:
     host, _, port = address.rpartition(":")
     if not host or not port.isdigit():
@@ -853,43 +785,6 @@ def main(argv: list[str] | None = None) -> int:
         help="run the client quickstart against a --serve instance",
     )
     parser.add_argument(
-        "--bench",
-        action="store_true",
-        help="run the orchestrated benchmark trial matrix and append the "
-        "repo-root BENCH_<area>.json trajectories",
-    )
-    parser.add_argument(
-        "--area",
-        action="append",
-        default=None,
-        metavar="AREA",
-        help="restrict --bench / --bench-gate to this area (repeatable)",
-    )
-    parser.add_argument(
-        "--bless",
-        action="store_true",
-        help="mark the entries appended by --bench as the pinned gate "
-        "baseline (accepts an intentional regression)",
-    )
-    parser.add_argument(
-        "--list-trials",
-        action="store_true",
-        help="print the registered trial matrix and exit",
-    )
-    parser.add_argument(
-        "--bench-gate",
-        action="store_true",
-        help="compare the newest BENCH_<area>.json entries against their "
-        "baselines and report headline perf regressions",
-    )
-    parser.add_argument(
-        "--gate-mode",
-        choices=("report", "enforce"),
-        default="enforce",
-        help="--bench-gate behavior on regression: 'enforce' exits 1, "
-        "'report' always exits 0 (default: enforce)",
-    )
-    parser.add_argument(
         "--metrics-out",
         metavar="PATH",
         default=None,
@@ -902,14 +797,6 @@ def main(argv: list[str] | None = None) -> int:
         help="append every finished span of this run (JSON lines) to PATH",
     )
     args = parser.parse_args(argv)
-    if args.list_trials:
-        return _list_trials_cmd()
-    if args.bench:
-        code = _bench_cmd(args.area, args.bless)
-        _export_observability(args.metrics_out, args.trace_out)
-        return code
-    if args.bench_gate:
-        return _bench_gate_cmd(args.area, args.gate_mode)
     if args.faults:
         transcript, recovered = _faults_demo(args.fault_kind, args.seed)
         print(transcript)
@@ -938,8 +825,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if args.experiment is None:
         parser.error(
-            "an experiment (or --bench / --bench-gate / --faults / --recover "
-            "/ --chaos / --serve / --connect) is required"
+            "an experiment (or --faults / --recover / --chaos / --serve "
+            "/ --connect) is required"
         )
     if args.experiment == "all":
         for name in ("constants", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "elle"):

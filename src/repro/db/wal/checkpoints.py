@@ -52,6 +52,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 from ...errors import CheckpointError, ReproError
@@ -185,15 +186,26 @@ def _canonical(body: dict) -> bytes:
 
 
 def _write_atomic(
-    fs: FileSystem, directory: str, final: str, data: bytes, fsync: bool
+    fs: FileSystem,
+    directory: str,
+    final: str,
+    data: bytes,
+    fsync: bool,
+    before_publish: Callable[[], None] | None = None,
 ) -> None:
-    """temp → fsync → rename → fsync-dir; the one true publication dance."""
+    """temp → fsync → rename → fsync-dir; the one true publication dance.
+
+    *before_publish* runs once the temp file is durable and before the
+    rename makes it visible.
+    """
     temp = final + ".tmp"
     with fs.open(temp, "wb") as handle:
         handle.write(data)
         handle.flush()
         if fsync:
             handle.fsync()
+    if before_publish is not None:
+        before_publish()
     fs.replace(temp, final)
     if fsync:
         fs.fsync_dir(directory)
@@ -254,17 +266,16 @@ def write_checkpoint(
     body["checksum"] = hashlib.sha256(_canonical(body)).hexdigest()
     data = json.dumps(body).encode("utf-8")
     final = checkpoint_path(directory, seq)
-    temp = final + ".tmp"
-    with fs.open(temp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        if fsync:
-            handle.fsync()
-    if on_stage is not None:
-        on_stage("after-checkpoint-temp")
-    fs.replace(temp, final)
-    if fsync:
-        fs.fsync_dir(directory)
+    _write_atomic(
+        fs,
+        directory,
+        final,
+        data,
+        fsync,
+        before_publish=(
+            None if on_stage is None else partial(on_stage, "after-checkpoint-temp")
+        ),
+    )
     if on_stage is not None:
         on_stage("after-checkpoint")
     # The mirror: byte-identical redundancy against at-rest rot, published
@@ -285,6 +296,7 @@ def write_checkpoint(
     # Garbage-collect: stale temps from old crashes, checkpoints beyond
     # the retention window (the newest `keep` stay as rot fallbacks), and
     # mirrors whose primary is gone.
+    temp = final + ".tmp"
     for name in fs.listdir(directory):
         path = os.path.join(directory, name)
         if name.endswith((".ckpt.tmp", MIRROR_SUFFIX + ".tmp")) and path != temp:

@@ -315,67 +315,3 @@ class BatchRejectedError(ClientAPIError):
     model treats this as a detected server attack, not a user error, so it
     is deliberately loud rather than a sentinel value.
     """
-
-
-class BenchError(ReproError):
-    """Base class for the experiment orchestrator (:mod:`repro.bench.experiment`).
-
-    Everything the trial runner, result schema, trajectory store, and perf
-    gate raise derives from this, so the CLI can turn any orchestration
-    failure into a one-line diagnosis with a single except clause.
-    """
-
-
-class TrialSpecError(BenchError):
-    """A trial declaration is invalid: malformed name, conflicting
-    re-registration of an existing trial under different parameters, or a
-    lookup of a trial/area that was never registered."""
-
-
-class TrialExecutionError(BenchError):
-    """A trial runner failed while being executed by the orchestrator.
-
-    Wraps whatever the underlying benchmark raised so callers see a typed
-    bench-layer error with the trial name, not a bare assertion from three
-    layers down.
-    """
-
-
-class TrialTimeout(TrialExecutionError):
-    """A trial exceeded its :attr:`TrialSpec.timeout_seconds` budget."""
-
-
-class TrialNondeterminism(TrialExecutionError):
-    """Repeated executions of one seeded trial disagreed on the
-    deterministic counters (txns, batches, conflicts, ...).
-
-    The counts of a seeded trial are part of its identity hash; if they
-    wander between repeats the trajectory would be meaningless, so the
-    runner refuses to record anything.
-    """
-
-
-class BenchSchemaError(BenchError):
-    """A trial record violates the versioned result schema: missing or
-    unknown fields, wrong types, a headline metric that does not exist, or
-    an identity hash that no longer matches the deterministic fields."""
-
-
-class SchemaVersionError(BenchSchemaError):
-    """A record or trajectory carries a different ``schema_version`` than
-    this code understands.  Carries ``found`` and ``expected`` attributes
-    so tooling can say which side is stale."""
-
-    def __init__(self, message: str, *, found: object, expected: int):
-        super().__init__(message)
-        self.found = found
-        self.expected = expected
-
-
-class TrajectoryError(BenchError):
-    """A ``BENCH_<area>.json`` trajectory file is unreadable or corrupt.
-
-    All the raw failure modes underneath (``json.JSONDecodeError``,
-    ``KeyError``, ``TypeError``, ``OSError``) are wrapped so callers never
-    see an untyped internal error from a damaged trajectory.
-    """
