@@ -1,9 +1,8 @@
-"""Backend comparison: Groth16 simulator vs Plonk simulator vs spot-check.
+"""Backend comparison: Groth16 simulator vs spot-check.
 
-Real wall-clock of the three proof backends on an identical verified batch.
-The Groth16/Plonk simulators do the same constraint evaluation (their cost
-difference at paper scale is the trusted-setup story, not wall time here);
-the spot-check backend is a complete argument system and pays for Merkle
+Real wall-clock of the two proof backends on an identical verified batch.
+The Groth16 simulator evaluates every constraint before "proving"; the
+spot-check backend is a complete argument system and pays for Merkle
 commitment and openings — its proofs are also not constant-size.
 """
 

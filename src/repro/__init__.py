@@ -31,12 +31,10 @@ from .core import (
     ClientVerdict,
     DigestVector,
     HybridLitmus,
-    InteractiveServerClient,
     LitmusClient,
     LitmusConfig,
     LitmusServer,
     LitmusSession,
-    MerkleServerClient,
     ServerResponse,
     ShardMap,
     ShardedSession,
@@ -69,11 +67,9 @@ __all__ = [
     "ElleChecker",
     "Groth16Simulator",
     "HybridLitmus",
-    "InteractiveServerClient",
     "LitmusClient",
     "LitmusConfig",
     "LitmusServer",
-    "MerkleServerClient",
     "MerkleTree",
     "Program",
     "RSAGroup",

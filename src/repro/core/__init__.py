@@ -11,8 +11,6 @@ Wires the substrates together exactly as Figure 1 describes:
   the piece dispatcher and the concurrent prover pool (Section 7.2);
 - :mod:`repro.core.client` — digest keeping, circuit matching, proof and
   digest-chain verification (Section 6.2);
-- :mod:`repro.core.interactive` / :mod:`repro.core.merkle_server` — the
-  AD-Interact and Merkle-tree baselines of Section 8;
 - :mod:`repro.core.hybrid`, :mod:`repro.core.consistency` — the Section 9
   extensions (real-time hybrid mode; verifiable consistency invariants);
 - :mod:`repro.core.session` — the client-facing facade
@@ -32,20 +30,17 @@ Both server and client report spans/metrics through :mod:`repro.obs`.
 """
 
 from .api import DigestVector, VerifiedSession
-from .audit import AuditRecord, AuditTrail
 from .checkpoint import DigestLog
 from .client import ClientVerdict, LitmusClient
 from .config import LitmusConfig
 from .consistency import InvariantViolation, SumInvariant
 from .hybrid import HybridLitmus
-from .interactive import InteractiveServerClient
 from .memory_integrity import (
     MemoryIntegrityChecker,
     MemoryIntegrityProvider,
     ReadCertificate,
     WriteCertificate,
 )
-from .merkle_server import MerkleServerClient
 from .protocol import PieceResult, ServerResponse, TimingReport
 from .server import LitmusServer
 from .session import (
@@ -59,15 +54,12 @@ from .session import (
 from .sharding import ShardMap, ShardedSession, XShardRecoveryReport
 
 __all__ = [
-    "AuditRecord",
-    "AuditTrail",
     "BatchResult",
     "ClientVerdict",
     "DigestLog",
     "DigestVector",
     "DurabilityConfig",
     "HybridLitmus",
-    "InteractiveServerClient",
     "InvariantViolation",
     "LitmusClient",
     "LitmusConfig",
@@ -75,7 +67,6 @@ __all__ = [
     "LitmusSession",
     "MemoryIntegrityChecker",
     "MemoryIntegrityProvider",
-    "MerkleServerClient",
     "PieceResult",
     "RecoveryReport",
     "ReadCertificate",

@@ -132,7 +132,9 @@ def replay_piece(
 
     Verifies every certificate against the running digest, re-executes every
     transaction from its authenticated read values through its compiled
-    circuit (all R1CS constraints checked), and chains the digest forward.
+    circuit (all R1CS constraints checked), requires the unit's claimed
+    writes to be exactly what its transactions wrote, and chains the digest
+    forward.
     """
     checker = MemoryIntegrityChecker(group, piece.start_digest, prime_bits=prime_bits)
     defer_poe = piece.poe_batch is not None
@@ -152,12 +154,19 @@ def replay_piece(
             if certified != unit_reads:
                 all_commit = False
                 break
+        written: dict[tuple, int] = {}
         for txn_id in unit.txn_ids:
             txn = txns_by_id.get(txn_id)
             if txn is None:
                 raise TransactionError(f"unknown transaction id {txn_id}")
-            binding = _run_transaction(txn, unit_reads, compiler)
+            binding, writes = _run_transaction(txn, unit_reads, compiler)
             outputs.append((txn_id, binding))
+            written.update(writes)
+        # The write certificate only proves the digest moved to *some* values;
+        # they must be the ones the unit's programs computed (last writer wins).
+        if written != dict(unit.writes):
+            all_commit = False
+            break
         if unit.writes:
             if wrapped.write_certificate is None:
                 all_commit = False
@@ -190,11 +199,13 @@ def _run_transaction(
     txn: Transaction,
     unit_reads: Mapping[tuple, int],
     compiler: CircuitCompiler,
-) -> tuple[int, ...]:
+) -> tuple[tuple[int, ...], tuple[tuple[tuple, int], ...]]:
     """Execute one transaction through its compiled circuit template.
 
     Read values come from the unit's authenticated snapshot; buffered
     (read-your-write) reads are reconstructed by the interpreter semantics.
+    Returns the bound outputs and the ``(key, value)`` writes in statement
+    order.
     """
     template = compiler.compile_program(txn.program)
     # Derive per-read-statement values: store reads come from the unit's
@@ -205,7 +216,7 @@ def _run_transaction(
     )
     read_values = {name: value for name, _key, value in result.reads}
     binding = compiler.bind(template, txn.params, read_values)
-    return binding.outputs
+    return binding.outputs, result.writes
 
 
 def _certified_read(key: tuple, unit_reads: Mapping[tuple, int]) -> int:

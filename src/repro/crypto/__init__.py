@@ -48,7 +48,6 @@ from .categorization import (
 )
 from .merkle import MerkleTree
 from .multiexp import FixedBaseWindow, multiexp
-from .multiset_hash import MultisetHash
 from .poe import (
     PoEBatchProof,
     PoEProof,
@@ -71,7 +70,6 @@ __all__ = [
     "LRUCache",
     "LookupProof",
     "MerkleTree",
-    "MultisetHash",
     "NonMembershipProof",
     "PocklingtonCertificate",
     "PoEBatchProof",

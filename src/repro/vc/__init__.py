@@ -38,7 +38,6 @@ from .program import (
 from .r1cs import R1CS
 from .snark import Groth16Simulator, Proof, ProvingKey, SnarkBackend, VerificationKey
 from .spotcheck import SpotCheckBackend, SpotCheckProof
-from .universal import PlonkSimulator, UniversalSetup
 
 __all__ = [
     "Add",
@@ -55,7 +54,6 @@ __all__ = [
     "Lt",
     "Mul",
     "Param",
-    "PlonkSimulator",
     "Program",
     "Proof",
     "ProvingKey",
@@ -67,7 +65,6 @@ __all__ = [
     "SpotCheckProof",
     "Sub",
     "TransactionCircuit",
-    "UniversalSetup",
     "VerificationKey",
     "WriteStmt",
     "inv",

@@ -7,17 +7,14 @@
   over the standard warehouse/district/customer/stock schema, with the
   paper's simplifications (customers selected by id, no HISTORY inserts,
   client-assigned order ids) so write targets are parameter-only;
-- :mod:`repro.workloads.smallbank` — the SmallBank micro-benchmark (six
-  transaction types over checking/savings accounts);
 - :mod:`repro.workloads.zipf` — an exact Zipfian sampler.
 
 Row counts are scaled down relative to the paper (which uses 10M-row / 10GB
 tables); the harness extrapolates timing through the cost model.
 """
 
-from .smallbank import SmallBankWorkload
 from .tpcc import TPCCWorkload
 from .ycsb import YCSBWorkload
 from .zipf import ZipfSampler
 
-__all__ = ["SmallBankWorkload", "TPCCWorkload", "YCSBWorkload", "ZipfSampler"]
+__all__ = ["TPCCWorkload", "YCSBWorkload", "ZipfSampler"]

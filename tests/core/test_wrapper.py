@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core import LitmusClient, LitmusConfig, LitmusServer
 from repro.core.memory_integrity import MemoryIntegrityProvider
 from repro.core.wrapper import (
     WrappedPiece,
@@ -16,7 +19,7 @@ from repro.core.wrapper import (
 from repro.db.executor import ScheduleUnit
 from repro.vc.compiler import CircuitCompiler
 
-from ..db.helpers import INCREMENT, increment
+from ..db.helpers import INCREMENT, increment, transfer
 
 PRIME_BITS = 64
 
@@ -89,6 +92,19 @@ class TestReplay:
         )
         outcome = replay_piece(
             shifted, {t.txn_id: t for t in txns}, CircuitCompiler(), group, PRIME_BITS
+        )
+        assert not outcome.all_commit
+
+    def test_unit_that_drops_its_writes_breaks_replay(self, group):
+        txns = [increment(1, 5)]
+        piece, _provider = wrapped_piece_for(group, txns)
+        wrapped = piece.units[0]
+        silent = WrappedUnit(
+            dataclasses.replace(wrapped.unit, writes=()), wrapped.read_certificate, None
+        )
+        tampered = dataclasses.replace(piece, units=(silent,))
+        outcome = replay_piece(
+            tampered, {t.txn_id: t for t in txns}, CircuitCompiler(), group, PRIME_BITS
         )
         assert not outcome.all_commit
 
@@ -174,3 +190,45 @@ class TestPieceCircuit:
             invariants=(SumInvariant.over("row"),),
         )
         assert plain.structural_hash() != with_invariant.structural_hash()
+
+
+class TestWriteBinding:
+    """A server that runs the logic wrongly but certifies honestly.
+
+    Its database executes each transaction correctly, then it claims (and
+    certifies against the digest) writes its programs never computed.  The
+    certificates are all valid, so only replay's check that the unit wrote
+    what its programs wrote can catch it.
+    """
+
+    @pytest.mark.parametrize("backend", ["groth16", "spotcheck"])
+    def test_certified_wrong_writes_are_rejected(self, group, backend):
+        config = LitmusConfig(
+            cc="dr",
+            processing_batch_size=8,
+            batches_per_piece=1,
+            prime_bits=PRIME_BITS,
+            backend=backend,
+        )
+        initial = {("acct", i): 100 for i in range(16)}
+        server = LitmusServer(initial=initial, config=config, group=group)
+        honest_run = server.db.run
+
+        def wrong_run(txns):
+            report = honest_run(txns)
+            assert len(report.schedule) == 1  # one unit of disjoint transfers
+            report.schedule[:] = [
+                dataclasses.replace(
+                    unit, writes=tuple((key, value + 1_000) for key, value in unit.writes)
+                )
+                for unit in report.schedule
+            ]
+            return report
+
+        server.db.run = wrong_run
+        txns = [transfer(i + 1, 2 * i, 2 * i + 1, 10) for i in range(8)]
+        response = server.execute_batch(txns)
+        client = LitmusClient(group, response.initial_digest, config=config)
+        verdict = client.verify_response(txns, response)
+        assert not verdict.accepted
+        assert "does not close the chain" in verdict.reason

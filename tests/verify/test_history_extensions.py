@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.crypto.multiset_hash import MultisetHash
 from repro.verify.cycles import analyze
 from repro.verify.history import History, Observation, ObservedTxn
 
@@ -81,31 +80,3 @@ class TestHistoryPersistence:
         # The auditor on the other side:
         verdict = ElleChecker().check(History.from_json(shipped))
         assert verdict.serializable
-
-
-class TestMultisetHash:
-    def test_order_independent(self):
-        a = MultisetHash.of([1, 2, 3])
-        b = MultisetHash.of([3, 1, 2])
-        assert a == b
-
-    def test_multiplicity_matters(self):
-        assert MultisetHash.of([1, 1]) != MultisetHash.of([1])
-
-    def test_incremental_add_remove(self):
-        base = MultisetHash.of(["a", "b"])
-        grown = base.add("c")
-        assert grown == MultisetHash.of(["a", "b", "c"])
-        assert grown.remove("c") == base
-
-    def test_union(self):
-        assert MultisetHash.of([1, 2]).union(MultisetHash.of([3])) == MultisetHash.of(
-            [1, 2, 3]
-        )
-
-    def test_no_lookup_proofs_by_design(self):
-        """The digest alone cannot answer membership — the reason Litmus
-        needs the accumulator-based AD instead (unit-level ablation)."""
-        digest = MultisetHash.of([1, 2, 3])
-        assert not hasattr(digest, "prove_lookup")
-        assert not hasattr(digest, "prove_no_key")
