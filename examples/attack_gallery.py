@@ -11,7 +11,8 @@ against a real server response and shows each one rejected:
 4. claiming conflicting transactions formed a non-conflicting batch
    (an isolation-level downgrade — the ACIDRain-style attack);
 5. swapping proofs between pieces;
-6. replaying a stale proof after more writes happened.
+6. replaying a stale proof after more writes happened;
+7. writing wrong values (+1,000 each) and certifying them honestly.
 
 Run:  python examples/attack_gallery.py
 """
@@ -21,6 +22,7 @@ import dataclasses
 from repro import LitmusClient, LitmusConfig, LitmusServer
 from repro.crypto import RSAGroup
 from repro.db import Transaction
+from repro.faults import FaultPlan, WrongWrite
 from repro.vc import Program
 from repro.vc.program import (
     Add,
@@ -129,7 +131,14 @@ def main() -> None:
     assert client.verify_response(second, server.execute_batch(second)).accepted
     expect_rejected("stale response replayed", client, first, old_response)
 
-    print("\nall six attacks detected — the server can at best refuse service")
+    # 7. Wrong writes, honestly certified: the server adds 1,000 to every
+    # value one unit writes, then mints valid certificates for them.
+    server, client = fresh_pair()
+    server.fault_plan = FaultPlan(WrongWrite(unit=0))
+    response = server.execute_batch(txns)
+    expect_rejected("wrong writes, honestly certified", client, txns, response)
+
+    print("\nall seven attacks detected — the server can at best refuse service")
 
 
 if __name__ == "__main__":

@@ -210,6 +210,7 @@ _FAULT_KINDS = (
     "bitflip_witness",
     "kill_prover",
     "drop_message",
+    "wrong_write",
 )
 
 
@@ -265,6 +266,7 @@ def _faults_demo(kind: str, seed: int) -> tuple[str, bool]:
         ReorderPieces,
         TamperEndDigest,
         TamperPublicStatement,
+        WrongWrite,
     )
 
     transfer = _demo_transfer()
@@ -277,6 +279,7 @@ def _faults_demo(kind: str, seed: int) -> tuple[str, bool]:
         "bitflip_witness": lambda: BitFlipWitness(unit=0, which="write"),
         "kill_prover": lambda: KillProver(piece=0),
         "drop_message": lambda: DropMessage(direction="response"),
+        "wrong_write": lambda: WrongWrite(unit=0),
     }
     plan = FaultPlan(injectors[kind](), seed=seed)
     session = LitmusSession.create(
@@ -385,7 +388,8 @@ def _recover_existing(directory: str) -> tuple[str, int]:
             f"  {label}replayed   : {report.replayed_batches} batch(es) "
             f"(tip seq {report.last_seq}), {report.changed_keys} key(s) changed",
             f"  {label}accumulator: {report.accumulator_path}, "
-            f"{report.primes_hashed} prime(s) hashed",
+            f"{report.primes_hashed} prime(s) hashed, "
+            f"generator table {report.generator_table}",
             f"  {label}repaired   : {report.truncations} torn tail(s), "
             f"{report.truncated_bytes} byte(s), "
             f"{report.dropped_segments} dropped segment(s)",
@@ -437,6 +441,7 @@ def _scrub_cmd(directory: str, repair: bool = True) -> tuple[str, int]:
 def _recover_demo(directory: str, seed: int) -> tuple[str, bool]:
     """Crash a durable run mid-flight, tear the WAL, restart, recover."""
     from .core import DurabilityConfig, LitmusConfig, LitmusSession
+    from .crypto.cache import clear_prime_caches
     from .crypto.rsa_group import default_group
     from .errors import SimulatedCrash
     from .faults import CrashPoint, FaultPlan, TornWrite
@@ -472,14 +477,18 @@ def _recover_demo(directory: str, seed: int) -> tuple[str, bool]:
     # Phase 2: the crash left a partial record behind (torn write).
     lines.append(f"  damage   : {TornWrite().apply(directory)}")
 
-    # Phase 3: a fresh process recovers from the directory alone.
+    # Phase 3: a fresh process recovers from the directory alone; dropping
+    # this process's derived caches makes it load the generator table from
+    # disk, as a cold one would.
+    clear_prime_caches()
     recovered_session = LitmusSession.recover(directory, [transfer], group=group)
     report = recovered_session.recovery_report
     lines.append(
         f"  recovery : checkpoint seq {report.checkpoint_seq}, replayed "
         f"{report.replayed_batches} batch(es) changing {report.changed_keys} "
         f"key(s), accumulator {report.accumulator_path} hashing "
-        f"{report.primes_hashed} prime(s), repaired {report.truncations} "
+        f"{report.primes_hashed} prime(s), generator table "
+        f"{report.generator_table}, repaired {report.truncations} "
         f"torn tail(s) ({report.truncated_bytes} bytes) in "
         f"{report.duration_seconds:.3f}s"
     )

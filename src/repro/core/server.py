@@ -272,6 +272,8 @@ class LitmusServer:
                 # provider can derive all of its witnesses from one base.
                 with self.provider.shared_base(report.schedule):
                     for unit_index, unit in enumerate(report.schedule):
+                        if self.fault_plan is not None:
+                            unit = self.fault_plan.on_unit(unit_index, unit)
                         with tracer.span("certify_unit", unit=unit_index):
                             read_cert, write_cert = self.provider.certify_unit(
                                 dict(unit.reads) if unit.reads else None,

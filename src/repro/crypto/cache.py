@@ -51,7 +51,9 @@ __all__ = [
     "cached_challenge_prime",
     "cached_pair_factors",
     "cached_key_prime",
+    "discard_generator_fixed_base",
     "generator_fixed_base",
+    "peek_generator_fixed_base",
     "prime_cache_epoch",
     "bump_prime_cache_epoch",
     "clear_prime_caches",
@@ -335,3 +337,24 @@ def generator_fixed_base(
         while len(_FIXED_BASE_REGISTRY) > _FIXED_BASE_MAX_GROUPS:
             _FIXED_BASE_REGISTRY.popitem(last=False)
         return window
+
+
+def peek_generator_fixed_base(modulus: int, generator: int) -> object | None:
+    """The cached fixed-base window for ``generator`` mod ``modulus``, or
+    None; never builds one."""
+    with _FIXED_BASE_LOCK:
+        return _FIXED_BASE_REGISTRY.get((modulus, generator))
+
+
+def discard_generator_fixed_base(
+    modulus: int, generator: int, window: object | None = None
+) -> None:
+    """Forget the cached window for ``generator`` mod ``modulus``.
+
+    With *window*, only if the cached one is that very object, so a caller
+    dropping a table it seeded cannot drop one another thread built since.
+    """
+    key = (modulus, generator)
+    with _FIXED_BASE_LOCK:
+        if window is None or _FIXED_BASE_REGISTRY.get(key) is window:
+            _FIXED_BASE_REGISTRY.pop(key, None)

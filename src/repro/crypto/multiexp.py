@@ -112,10 +112,19 @@ class FixedBaseWindow:
     happens under a lock, evaluation reads an immutable prefix.
     """
 
-    def __init__(self, base: int, modulus: int):
+    def __init__(self, base: int, modulus: int, powers: Sequence[int] = ()):
+        """The table of *base* mod *modulus*, seeded with *powers*.
+
+        *powers* is a prefix ``base^(2^(8·i))`` taken from an earlier
+        table (:meth:`snapshot`); it must start at ``base`` and is not
+        checked further — whoever supplies it vouches for it.
+        """
         self.modulus = modulus
         self.base = base % modulus
-        self._powers: list[int] = [self.base]  # powers[i] = base^(2^(8*i))
+        if powers and powers[0] != self.base:
+            raise ValueError("a fixed-base table must start at its base")
+        # powers[i] = base^(2^(8*i))
+        self._powers: list[int] = list(powers) if powers else [self.base]
         self._lock = threading.Lock()
 
     def _ensure(self, num_windows: int) -> list[int]:
@@ -136,6 +145,14 @@ class FixedBaseWindow:
     @property
     def table_entries(self) -> int:
         return len(self._powers)
+
+    def extend(self, num_windows: int) -> None:
+        """Grow the table to at least *num_windows* entries."""
+        self._ensure(num_windows)
+
+    def snapshot(self) -> tuple[int, ...]:
+        """The entries built so far, ``base^(2^(8·i))`` for each ``i``."""
+        return tuple(self._powers)
 
     def power(self, exponent: int) -> int:
         """``base^exponent mod modulus`` — identical to ``pow``, fewer ops."""

@@ -17,6 +17,12 @@ finds it early, while redundancy still exists:
   (:func:`~repro.db.wal.segments.scan_wal`);
 - **intent journal** — the cross-shard journal's framing is re-verified,
   again report-only;
+- **generator table** — ``generator.tbl`` at the layout's root is
+  re-derived link by link: ``entry[0] == g``, every ``entry[i]^256 ==
+  entry[i+1]``, and its group is the journaled one.  A bad table is
+  unlinked (``kind="generator_table"``, ``action="repaired"``): the next
+  recovery rebuilds and rewrites it.  This runs before the accumulator
+  check, which forms ``g^S`` over the table only once it has passed;
 - **accumulators** — for every checkpoint that validates, re-prove from
   scratch what recovery takes on trust: the provider rows equal the store
   rows, each row's journaled ``(key, value, relation)`` primes are its
@@ -51,6 +57,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 from ..crypto.authdict import AuthenticatedDictionary
+from ..crypto.cache import discard_generator_fixed_base, generator_fixed_base
 from ..crypto.rsa_group import RSAGroup
 from ..errors import CryptoError
 from ..obs.metrics import MetricsRegistry, get_metrics
@@ -63,6 +70,7 @@ from .wal.checkpoints import (
     list_checkpoints,
     mirror_path,
 )
+from .wal.generator_table import GENERATOR_TABLE_NAME, generator_table_problem
 from .wal.intents import (
     INTENT_JOURNAL_NAME,
     IntentJournal,
@@ -91,7 +99,9 @@ class ScrubFinding:
     """
 
     path: str
-    kind: str  # "checkpoint" | "mirror" | "segment" | "intents" | "accumulator"
+    # "checkpoint" | "mirror" | "segment" | "intents" | "accumulator"
+    # | "generator_table"
+    kind: str
     problem: str
     action: str
 
@@ -257,6 +267,58 @@ def _scrub_checkpoints(
                 )
 
 
+def _journaled_group(
+    targets: list[str], fs: FileSystem
+) -> tuple[int, int] | None:
+    """``(N, g)`` of the first checkpoint in *targets* that loads."""
+    for target in targets:
+        for path in list_checkpoints(target, fs):
+            try:
+                checkpoint = _load_one(path, fs)
+            except _LOAD_FAILURES:
+                continue
+            return checkpoint.group_modulus, checkpoint.group_generator
+    return None
+
+
+def _scrub_generator_table(
+    directory: str,
+    targets: list[str],
+    fs: FileSystem,
+    registry: MetricsRegistry,
+    report: ScrubReport,
+    repair: bool,
+) -> None:
+    path = os.path.join(directory, GENERATOR_TABLE_NAME)
+    try:
+        data = fs.read_bytes(path)
+    except FileNotFoundError:
+        return
+    report.files_scanned += 1
+    group = _journaled_group(targets, fs)
+    problem, window = generator_table_problem(data, group)
+    if window is not None:
+        # Every link re-derived: as good as a table built from g, so the
+        # accumulator check below may use it.
+        generator_fixed_base(window.modulus, window.base, lambda: window)
+        return
+    if group is not None:
+        # A table this process loaded from the bad file is not trusted.
+        discard_generator_fixed_base(*group)
+    action = "reported"
+    if repair:
+        try:
+            fs.unlink(path)
+            action = "repaired"
+            report.repaired += 1
+            registry.counter("scrub.repairs").inc()
+        except OSError:
+            pass
+    report.findings.append(
+        ScrubFinding(path=path, kind="generator_table", problem=problem, action=action)
+    )
+
+
 def _scrub_segments(
     directory: str,
     fs: FileSystem,
@@ -336,6 +398,7 @@ def scrub_directory(
     report = ScrubReport()
     targets = [directory] + list_shard_directories(directory, fs)
     report.directories = tuple(targets)
+    _scrub_generator_table(directory, targets, fs, registry, report, repair)
     for target in targets:
         _scrub_checkpoints(
             target, fs, registry, report, repair, skip_newest_checkpoint

@@ -20,6 +20,9 @@ was untested.  This package is the missing persistence spine:
 - :mod:`~repro.db.wal.checkpoints` — atomic (temp-file-then-rename)
   checkpoint files carrying the KVStore snapshot, the authenticated
   -dictionary provider state, the client digest and its hash-chained log;
+- :mod:`~repro.db.wal.generator_table` — the group generator's fixed-base
+  table at the layout's root, which a cold recovery loads and checks
+  instead of rebuilding;
 - :mod:`~repro.db.wal.config` / :mod:`~repro.db.wal.manager` — the
   :class:`DurabilityConfig` knob-set and the :class:`DurabilityManager` a
   :class:`~repro.core.session.LitmusSession` drives.
@@ -44,6 +47,7 @@ from .checkpoints import (
     write_checkpoint,
 )
 from .config import DurabilityConfig
+from .generator_table import GENERATOR_TABLE_NAME, GeneratorTableFile
 from .intents import (
     INTENT_JOURNAL_NAME,
     IntentJournal,
@@ -75,6 +79,8 @@ __all__ = [
     "CheckpointSelection",
     "DurabilityConfig",
     "DurabilityManager",
+    "GENERATOR_TABLE_NAME",
+    "GeneratorTableFile",
     "INTENT_JOURNAL_NAME",
     "IntentJournal",
     "IntentRecord",

@@ -53,7 +53,7 @@ import os
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ...errors import CheckpointError, ReproError
 from ...obs.metrics import MetricsRegistry, get_metrics
@@ -189,18 +189,21 @@ def _write_atomic(
     fs: FileSystem,
     directory: str,
     final: str,
-    data: bytes,
+    data: bytes | Iterable[bytes],
     fsync: bool,
     before_publish: Callable[[], None] | None = None,
 ) -> None:
     """temp → fsync → rename → fsync-dir; the one true publication dance.
 
-    *before_publish* runs once the temp file is durable and before the
-    rename makes it visible.
+    *data* is the file's bytes, or its chunks in order (a large file need
+    not be held in memory whole).  *before_publish* runs once the temp
+    file is durable and before the rename makes it visible.
     """
     temp = final + ".tmp"
+    chunks = (data,) if isinstance(data, bytes) else data
     with fs.open(temp, "wb") as handle:
-        handle.write(data)
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         if fsync:
             handle.fsync()

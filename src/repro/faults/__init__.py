@@ -4,7 +4,8 @@ Litmus's value proposition is surviving a *misbehaving* server (paper
 Sections 4 and 6.2), so its reproduction needs a first-class way to
 misbehave on purpose.  This package provides deterministic, seedable fault
 injectors — proof corruption, certificate/witness bit-flips, dropped and
-reordered proof pieces, prover-worker deaths, and message drops/delays via
+reordered proof pieces, prover-worker deaths, wrongly executed but
+honestly certified writes, and message drops/delays via
 :mod:`repro.sim.network` — wired into the real server and session through a
 :class:`FaultPlan` hook, plus the recovery semantics the rest of the system
 builds on (see :mod:`repro.core.session` for ``RetryPolicy`` and
@@ -43,6 +44,7 @@ from .disk import (
     CheckpointRot,
     DiskFull,
     FsyncFailure,
+    GeneratorTableRot,
     RenameFailure,
     RotOnWrite,
     ShortWrite,
@@ -59,6 +61,7 @@ from .injectors import (
     ReorderPieces,
     TamperEndDigest,
     TamperPublicStatement,
+    WrongWrite,
 )
 from .nemesis import (
     NemesisReport,
@@ -82,6 +85,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
+    "GeneratorTableRot",
     "KillProver",
     "NemesisReport",
     "NemesisStep",
@@ -95,6 +99,7 @@ __all__ = [
     "TornWrite",
     "TruncateSegment",
     "WriteError",
+    "WrongWrite",
     "generate_schedule",
     "minimize_schedule",
     "run_nemesis",

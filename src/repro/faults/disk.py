@@ -9,7 +9,8 @@ fsync, and rename the durability stack performs.
 
 Each injector targets by operation, by path substring (``".seg"`` hits
 WAL segments, ``".ckpt"`` checkpoints, ``"intents"`` the cross-shard
-journal; empty matches everything), and optionally by shard — the same
+journal, ``"generator.tbl"`` the generator's table; empty matches
+everything), and optionally by shard — the same
 targeting model :class:`~repro.faults.CrashPoint` uses.  Firing control
 (``times`` / ``probability``) comes from the base class: ``times=1`` is a
 one-shot fault, ``times=None`` a sticky one (every matching operation
@@ -32,6 +33,7 @@ __all__ = [
     "CheckpointRot",
     "DiskFull",
     "FsyncFailure",
+    "GeneratorTableRot",
     "RenameFailure",
     "RotOnWrite",
     "ShortWrite",
@@ -191,3 +193,34 @@ class CheckpointRot:
             raise WalError(f"no checkpoint to rot in {directory!r}")
         rot_file(candidates[0], self.position, self.mask)
         return candidates[0]
+
+
+class GeneratorTableRot:
+    """At-rest bit rot of a layout's ``generator.tbl``.
+
+    Applied to a quiesced directory like :class:`CheckpointRot` — the
+    unsharded directory, or a sharded layout's root.  The default
+    position lands inside the table's entries.  Recovery must reject the
+    file (its checksum), rebuild the table from ``g``, land on the
+    acknowledged digest and report ``"rebuilt: checksum"``.
+    """
+
+    kind = "table-rot"
+
+    def __init__(self, position: int = 4099, mask: int = 0x04):
+        self.position = position
+        self.mask = mask
+
+    def apply(self, directory: str) -> str:
+        """Rot the generator table in *directory*; returns its path."""
+        import os
+
+        from ..db.fsio import rot_file
+        from ..db.wal.generator_table import GENERATOR_TABLE_NAME
+        from ..errors import WalError
+
+        path = os.path.join(directory, GENERATOR_TABLE_NAME)
+        if not os.path.exists(path):
+            raise WalError(f"no generator table to rot in {directory!r}")
+        rot_file(path, self.position, self.mask)
+        return path

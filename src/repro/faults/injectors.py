@@ -18,6 +18,7 @@ TamperEndDigest         digest chain broken / final digest does not close
 DropPiece               reported pieces do not cover the batch
 ReorderPieces           digest chain broken at the first swapped piece
 BitFlipWitness          in-circuit MemCheck/MemUpdate fails → AllCommit = 0
+WrongWrite              replay's write check fails → AllCommit = 0
 KillProver              server aborts the batch (ProofCorruptionDetected)
 DropMessage             no response — the session retries
 NetworkFault            seeded drops/delays via :mod:`repro.sim.network`
@@ -43,6 +44,7 @@ __all__ = [
     "ReorderPieces",
     "TamperEndDigest",
     "TamperPublicStatement",
+    "WrongWrite",
 ]
 
 
@@ -193,6 +195,47 @@ class BitFlipWitness(FaultInjector):
             read_cert.lookup, witness=read_cert.lookup.witness ^ 1
         )
         return dataclasses.replace(read_cert, lookup=lookup), write_cert
+
+
+class WrongWrite(FaultInjector):
+    """Execute the logic wrongly, certify honestly: add *delta* to every
+    value one unit writes before its certificates are minted.
+
+    Later units of the batch then claim to read what was certified, as a
+    server whose store really held the wrong values would, so every
+    certificate is valid for what it claims and only the replay's check
+    that a unit wrote what its programs computed can catch the lie — the
+    attack the verifiable-computation layer exists to stop.
+    """
+
+    kind = "wrong_write"
+
+    def __init__(self, unit: int = 0, delta: int = 1_000, **kwargs):
+        super().__init__(**kwargs)
+        self.unit = unit
+        self.delta = delta
+        self._certified: dict = {}  # key -> wrong value, this batch
+
+    def on_unit(self, plan: FaultPlan, unit_index: int, unit):
+        if unit_index == 0:
+            self._certified = {}
+        certified = self._certified
+        if certified:
+            unit = dataclasses.replace(
+                unit,
+                reads=tuple((k, certified.get(k, v)) for k, v in unit.reads),
+            )
+            for key in unit.write_keys:
+                certified.pop(key, None)
+        if unit_index != self.unit or not unit.writes or not self._take(plan):
+            return unit
+        plan.record(self, "certify", f"unit {unit_index} writes")
+        unit = dataclasses.replace(
+            unit,
+            writes=tuple((key, value + self.delta) for key, value in unit.writes),
+        )
+        certified.update(unit.writes)
+        return unit
 
 
 class KillProver(FaultInjector):

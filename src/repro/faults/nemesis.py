@@ -19,7 +19,9 @@ compositions deterministically:
   steps — failed fsyncs, EIO/ENOSPC writes, short writes aimed at one
   shard's WAL or at the coordinator's intent journal
   (:mod:`repro.faults.disk`) — and crash steps may pair with
-  ``"ckpt-rot"`` at-rest checkpoint damage the mirror must cover;
+  ``"ckpt-rot"`` at-rest checkpoint damage the mirror must cover, or
+  with ``"table-rot"`` damage to the generator table that recovery must
+  reject and rebuild;
 - :func:`run_nemesis` — drive a durable :class:`~repro.core.sharding.
   ShardedSession` through a schedule, recovering from every crash (and
   from every fsync failure, which downs the engine the same way —
@@ -60,6 +62,7 @@ from typing import Callable, Sequence
 from ..core.config import LitmusConfig
 from ..core.session import DurabilityConfig, RetryPolicy
 from ..core.sharding import ShardMap, ShardedSession
+from ..crypto.cache import discard_generator_fixed_base
 from ..crypto.rsa_group import RSAGroup
 from ..db.wal import shard_directory
 from ..errors import DurabilityError, ReproError, SimulatedCrash, WalError
@@ -78,6 +81,7 @@ from .disk import (
     CheckpointRot,
     DiskFull,
     FsyncFailure,
+    GeneratorTableRot,
     ShortWrite,
     WriteError,
 )
@@ -149,7 +153,9 @@ class NemesisStep:
     shard — is in flight; ``corruption`` optionally damages the crashed
     shard's durability directory before recovery: its WAL tail
     (``"torn"`` / ``"bitrot"``) or its newest checkpoint primary
-    (``"ckpt-rot"``, which the mirror must cover)), or ``"disk-fault"``
+    (``"ckpt-rot"``, which the mirror must cover) or the layout's
+    generator table (``"table-rot"``, which recovery must reject)), or
+    ``"disk-fault"``
     (``disk`` names a :data:`_DISK_FAULTS` injector armed at ``shard``
     while the transfer is in flight).  Every step carries its own
     transfer so a schedule replays identically regardless of which prefix
@@ -184,9 +190,11 @@ def generate_schedule(
     retryable prover/message faults, ``disk_fault_fraction`` are
     shard-targeted disk faults (failed fsyncs, EIO/ENOSPC writes, short
     writes — see :data:`_DISK_FAULTS`), and the rest are plain transfers.
-    A non-zero ``disk_fault_fraction`` also adds ``"ckpt-rot"`` to the
-    crash steps' corruption choices (at-rest checkpoint rot the mirror
-    must cover); at the default ``0.0`` the schedules are byte-identical
+    A non-zero ``disk_fault_fraction`` also adds ``"ckpt-rot"`` and
+    ``"table-rot"`` to the crash steps' corruption choices (at-rest rot
+    of a checkpoint, which the mirror must cover, and of the generator
+    table, which recovery must reject and rebuild); at the default
+    ``0.0`` the schedules are byte-identical
     to what this function generated before disk faults existed.
     Deterministic: the same arguments produce the same schedule.
     """
@@ -209,7 +217,9 @@ def generate_schedule(
         return src, dst, rng.randint(1, 5)
 
     corruptions = (
-        _CORRUPTIONS + ("ckpt-rot",) if disk_fault_fraction > 0 else _CORRUPTIONS
+        _CORRUPTIONS + ("ckpt-rot", "table-rot")
+        if disk_fault_fraction > 0
+        else _CORRUPTIONS
     )
     schedule: list[NemesisStep] = []
     for _ in range(steps):
@@ -418,7 +428,15 @@ def run_nemesis(
             session.close()
         except BaseException:
             pass
-        if step.corruption:
+        if step.corruption == "table-rot":
+            # The table sits at the layout's root; forget this process's
+            # copy so recovery reads the rotted file, as a cold one would.
+            try:
+                GeneratorTableRot().apply(directory)
+            except WalError:
+                pass  # the table was never written; recovery rebuilds it
+            discard_generator_fixed_base(group.modulus, group.generator)
+        elif step.corruption:
             corruptor = {
                 "torn": TornWrite,
                 "bitrot": BitRotSegment,
@@ -438,6 +456,12 @@ def run_nemesis(
         )
         recoveries += 1
         registry.counter("nemesis.recoveries").inc()
+        if step.corruption == "table-rot":
+            sources = {r.generator_table for r in session.recovery_reports}
+            if not all(source.startswith("rebuilt") for source in sources):
+                failures.append(
+                    f"table-rot: recovery used a rotted generator table {sources}"
+                )
         model = _check_episode(session, model, step, num_accounts, failures)
         if failures:
             return False

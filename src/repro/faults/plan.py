@@ -6,6 +6,8 @@ owns a list of :class:`FaultInjector` instances and is consulted by the
 
 - ``on_request`` — the client→server message (session side, before
   :meth:`~repro.core.server.LitmusServer.execute_batch`);
+- ``on_unit`` — each schedule unit as the server executed it, before its
+  certificates are minted (so a changed unit is certified honestly);
 - ``on_certificates`` — each schedule unit's freshly minted read/write
   certificates (server side, the serial certification stage);
 - ``on_prove`` — each piece's prover-pool worker, as its job starts;
@@ -87,6 +89,11 @@ class FaultInjector:
     def on_request(self, plan: "FaultPlan", txns: Sequence) -> None:
         """Client→server delivery; may raise MessageDropped."""
 
+    def on_unit(self, plan: "FaultPlan", unit_index: int, unit):
+        """Change what a unit read or wrote before it is certified; returns
+        the (possibly new) :class:`~repro.db.executor.ScheduleUnit`."""
+        return unit
+
     def on_certificates(self, plan: "FaultPlan", unit_index: int, read_cert, write_cert):
         """Tamper a unit's certificates; returns the (possibly new) pair."""
         return read_cert, write_cert
@@ -158,6 +165,11 @@ class FaultPlan:
     def on_request(self, txns: Sequence) -> None:
         for injector in self.injectors:
             injector.on_request(self, txns)
+
+    def on_unit(self, unit_index: int, unit):
+        for injector in self.injectors:
+            unit = injector.on_unit(self, unit_index, unit)
+        return unit
 
     def on_certificates(self, unit_index: int, read_cert, write_cert):
         for injector in self.injectors:

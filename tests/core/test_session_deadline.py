@@ -71,6 +71,9 @@ class SlowRequestPlan:
     def on_response(self, response):
         return response
 
+    def on_unit(self, unit_index, unit):
+        return unit
+
     def on_certificates(self, unit_index, read_cert, write_cert):
         return read_cert, write_cert
 

@@ -311,7 +311,8 @@ class TestShardedSession:
         digest_before = DigestVector(session.digest.shards)
         session.close()
         assert sorted(os.listdir(directory)) == [
-            "shard-00", "shard-01", "shard-02", "xshard-intents.log",
+            "generator.tbl", "shard-00", "shard-01", "shard-02",
+            "xshard-intents.log",
         ]
 
         recovered = ShardedSession.recover(

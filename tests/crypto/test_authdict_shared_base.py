@@ -176,6 +176,9 @@ class TestServer:
         monkeypatch.setattr(memory_integrity, "_SHORT_COST_PER_REPRESENTATIVE", 0.0)
 
         class FailSecondUnit:
+            def on_unit(self, unit_index, unit):
+                return unit
+
             def on_certificates(self, unit_index, read_cert, write_cert):
                 if unit_index == 1:
                     raise ReproError("injected certify failure")

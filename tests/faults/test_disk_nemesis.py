@@ -20,7 +20,7 @@ import pytest
 
 from repro.faults import NemesisStep, generate_schedule, run_nemesis
 from repro.faults.nemesis import _DISK_FAULTS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_metrics
 
 from .test_nemesis import NUM_ACCOUNTS, _owners
 
@@ -73,6 +73,20 @@ class TestScheduleGeneration:
                 assert step.corruption != "ckpt-rot"
 
 
+    def test_table_rot_only_with_disk_faults_enabled(self):
+        kinds = {
+            step.corruption
+            for seed in range(30)
+            for step in generate_schedule(
+                seed=seed, steps=20, num_shards=3, disk_fault_fraction=0.3
+            )
+        }
+        assert "table-rot" in kinds
+        for seed in range(30):
+            for step in generate_schedule(seed=seed, steps=20, num_shards=3):
+                assert step.corruption != "table-rot"
+
+
 class TestRunDiskNemesis:
     def test_fsync_failure_downs_the_deployment_but_loses_nothing(
         self, group, tmp_path
@@ -106,6 +120,32 @@ class TestRunDiskNemesis:
         assert report.final_balance == NUM_ACCOUNTS * 100
         assert registry.counter("nemesis.disk_faults").value == 1
         assert registry.counter("storage.fsync_failures").value >= 1
+
+    def test_rotted_generator_table_is_rebuilt_by_the_recovery(
+        self, group, tmp_path
+    ):
+        """A crash, then rot in the layout's generator table: recovery must
+        refuse the table, rebuild it, and lose no acked transfer."""
+        owners = _owners(3)
+        shards = sorted(owners)
+        src = owners[shards[0]][0]
+        dst = owners[shards[1]][0]
+        steps = [
+            NemesisStep(kind="transfer", src=src, dst=dst, amount=5),
+            NemesisStep(
+                kind="crash", src=src, dst=dst, amount=4, shard=shards[0],
+                stage="after-log", corruption="table-rot",
+            ),
+            NemesisStep(kind="transfer", src=dst, dst=src, amount=2),
+        ]
+        rebuilds = get_metrics().counter("recovery.generator_table_rebuilds")
+        before = rebuilds.value
+        report = run_nemesis(
+            steps, directory=str(tmp_path / "rot"), seed=3, group=group
+        )
+        assert report.ok, report.invariant_failures
+        assert report.recoveries == 1
+        assert rebuilds.value == before + 1
 
     def test_write_errors_are_absorbed_without_a_recovery(self, group, tmp_path):
         owners = _owners(3)

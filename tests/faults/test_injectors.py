@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from repro.db.executor import ScheduleUnit
 from repro.errors import MessageDropped, ProverKilled
 from repro.faults import (
     CorruptProofPiece,
@@ -17,6 +18,7 @@ from repro.faults import (
     ReorderPieces,
     TamperEndDigest,
     TamperPublicStatement,
+    WrongWrite,
 )
 from repro.sim.network import LAN, NetworkModel, SimulatedChannel
 
@@ -92,6 +94,24 @@ class TestResponseTampering:
         out = plan.on_response(_response(1))
         assert [p.piece_index for p in out.pieces] == [0]
         assert plan.injected == 0
+
+
+class TestWrongWrite:
+    def test_one_unit_writes_wrongly_and_later_units_read_the_lie(self):
+        plan = FaultPlan(WrongWrite(unit=1, delta=1_000))
+        first = ScheduleUnit((1,), reads=((("a",), 5),), writes=((("a",), 6),))
+        second = ScheduleUnit((2,), reads=((("b",), 7),), writes=((("b",), 8),))
+        third = ScheduleUnit(
+            (3,), reads=((("a",), 6), (("b",), 8)), writes=((("a",), 9),)
+        )
+        assert plan.on_unit(0, first) == first
+        assert plan.on_unit(1, second).writes == ((("b",), 1_008),)
+        # the next unit claims to read what unit 1 certified
+        assert plan.on_unit(2, third).reads == ((("a",), 6), (("b",), 1_008))
+        assert [e.kind for e in plan.events] == ["wrong_write"]
+        # a new batch starts clean, and the injector is one-shot
+        assert plan.on_unit(0, third) == third
+        assert plan.on_unit(1, second) == second
 
 
 class TestProcessAndMessageFaults:

@@ -23,6 +23,7 @@ from repro.faults import (
     ReorderPieces,
     TamperEndDigest,
     TamperPublicStatement,
+    WrongWrite,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.vc.program import (
@@ -69,6 +70,7 @@ FAULT_FACTORIES = {
     "kill_prover": lambda: KillProver(piece=0),
     "drop_request": lambda: DropMessage(direction="request"),
     "drop_response": lambda: DropMessage(direction="response"),
+    "wrong_write": lambda: WrongWrite(unit=0),
 }
 
 
@@ -210,6 +212,37 @@ class TestResync:
         with pytest.raises(ServerDesyncError):
             session.resync()
         assert registry.snapshot()["session.resync_failures"]["value"] == 1
+
+
+class TestWrongWrite:
+    """A server that writes wrongly and certifies the wrong writes honestly:
+    every certificate is valid, so only replay's check that each unit
+    wrote what its programs computed rejects it, under every backend."""
+
+    @pytest.mark.parametrize("backend", ["groth16", "spotcheck"])
+    @pytest.mark.parametrize("unit", [0, 1])
+    def test_rejected_under_every_backend(self, group, backend, unit):
+        config = LitmusConfig(
+            cc="dr",
+            processing_batch_size=2,
+            batches_per_piece=2,
+            prime_bits=64,
+            backend=backend,
+        )
+        plan = FaultPlan(WrongWrite(unit=unit))
+        session = LitmusSession.create(
+            initial={("acct", i): 100 for i in range(NUM_ACCOUNTS)},
+            config=config,
+            group=group,
+            fault_plan=plan,
+        )
+        _submit_transfers(session)
+        result = session.flush()
+        assert plan.injected == 1
+        assert not result.accepted
+        assert session.server.digest == session.digest  # rolled back
+        _submit_transfers(session)
+        assert session.flush().accepted
 
 
 @pytest.mark.faults
