@@ -151,13 +151,16 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
     import sys
 
-    from repro.obs import JsonLinesExporter, get_metrics, get_tracer
+    from repro.obs import JsonLinesExporter, Tracer, get_metrics, get_tracer, set_tracer
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument("--metrics-out", metavar="PATH", default=None)
     parser.add_argument("--trace-out", metavar="PATH", default=None)
     args = parser.parse_args(argv)
+    if args.trace_out:
+        # The process-default tracer is a small ring; the trace file is whole.
+        set_tracer(Tracer())
 
     rows = run_fault_matrix(seed=args.seed)
     print("Fault-injection matrix — detection and recovery per fault class")

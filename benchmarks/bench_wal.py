@@ -21,7 +21,6 @@ pin the WAL metric names against a real export::
 
 from __future__ import annotations
 
-import json
 import tempfile
 import time
 
@@ -101,16 +100,14 @@ def run_checkpoint_bench(num_rows: int = 2_000) -> dict:
             group_modulus=0xC5,
             group_generator=0x04,
             durability={"fsync": "always"},
-            digest_log_json=json.dumps(
-                [
-                    {
-                        "sequence": 0,
-                        "digest": hex(digest),
-                        "num_txns": 0,
-                        "entry_hash": "00" * 32,
-                    }
-                ]
-            ),
+            digest_log=[
+                {
+                    "sequence": 0,
+                    "digest": hex(digest),
+                    "num_txns": 0,
+                    "entry_hash": "00" * 32,
+                }
+            ],
         )
         write_seconds = time.perf_counter() - start
         start = time.perf_counter()

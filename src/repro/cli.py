@@ -92,7 +92,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .obs import JsonLinesExporter, get_metrics, get_tracer
+from .obs import JsonLinesExporter, Tracer, get_metrics, get_tracer, set_tracer
 
 from .bench import (
     elle_comparison,
@@ -806,6 +806,9 @@ def main(argv: list[str] | None = None) -> int:
         help="append every finished span of this run (JSON lines) to PATH",
     )
     args = parser.parse_args(argv)
+    if args.trace_out:
+        # The process-default tracer is a small ring; the trace file is whole.
+        set_tracer(Tracer())
     if args.faults:
         transcript, recovered = _faults_demo(args.fault_kind, args.seed)
         print(transcript)

@@ -212,6 +212,7 @@ class LitmusServer:
         if self.shard is not None:
             span_attrs["shard"] = self.shard
         with tracer.span("batch", **span_attrs) as batch_span:
+            batch_records = tracer.collect(batch_span)
             with tracer.span("execute", cc=self.config.cc):
                 report = self.db.run(txns)
             size = self.config.batches_per_piece
@@ -329,15 +330,13 @@ class LitmusServer:
         metrics.counter("server.pieces").inc(len(pieces))
 
         # Every measured_* column of the report is a view over the subtree
-        # this batch just produced (see DESIGN.md "Observability"); a caller's
-        # enclosing span may hold earlier batches in the same tree.
+        # this batch just produced (see DESIGN.md "Observability"), collected
+        # whole however few spans the tracer's buffer keeps.
         timing = TimingReport(
             num_txns=len(txns),
             total_constraints=total_constraints,
             num_pieces=len(pieces),
-            **measured_fields_from_spans(
-                tracer.subtree(batch_span), dispatch_start=dispatch_start
-            ),
+            **measured_fields_from_spans(batch_records, dispatch_start=dispatch_start),
         )
         return ServerResponse(
             pieces=tuple(piece_results),

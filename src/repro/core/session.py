@@ -21,9 +21,9 @@ Design points:
   order) and the client-side digest;
 - ``flush`` drives one full verification round (server execution, proof
   generation, client verification) and returns a typed, frozen
-  :class:`BatchResult` carrying acceptance, per-user outputs, the
-  :class:`~repro.core.protocol.TimingReport`, and a metrics snapshot from
-  :mod:`repro.obs`;
+  :class:`BatchResult` carrying acceptance, per-user outputs and the
+  :class:`~repro.core.protocol.TimingReport`; metrics stay in the
+  session's :mod:`repro.obs` registry (``session.registry.snapshot()``);
 - ``flush`` on an empty queue is a **documented no-op**: it returns
   :meth:`BatchResult.empty` (accepted, zero transactions) without touching
   the server — the regression the old bare-``bool`` flush surface made
@@ -81,7 +81,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..crypto.rsa_group import RSAGroup
 from ..db.commandlog import encode_batch
@@ -268,9 +268,10 @@ class BatchResult:
     - ``tickets`` — the resolved :class:`UserTicket` objects of the batch;
     - ``timing`` — the server's :class:`TimingReport` (``None`` for the
       empty no-op and for batches whose final attempt produced no
-      response);
-    - ``metrics`` — a :meth:`repro.obs.MetricsRegistry.snapshot` taken
-      right after verification (read-only mapping).
+      response).
+
+    Metrics are not part of a result: they live in the session's
+    process-wide registry, read with ``session.registry.snapshot()``.
     """
 
     accepted: bool
@@ -285,9 +286,6 @@ class BatchResult:
     )
     tickets: tuple[UserTicket, ...] = ()
     timing: TimingReport | None = None
-    metrics: Mapping[str, Mapping[str, Any]] = field(
-        default_factory=lambda: _frozen_mapping({})
-    )
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -895,7 +893,6 @@ class LitmusSession:
             ),
             tickets=tuple(ticket for ticket, _txn in pending),
             timing=response.timing,
-            metrics=_frozen_mapping(self.registry.snapshot()),
         )
         self.last_result = result
         return result
@@ -916,7 +913,6 @@ class LitmusSession:
             attempts=attempts,
             tickets=tuple(ticket for ticket, _txn in pending),
             timing=None,
-            metrics=_frozen_mapping(self.registry.snapshot()),
         )
         self.last_result = result
         return result
@@ -968,7 +964,7 @@ class LitmusSession:
             config=asdict(self.server.config),
             group_modulus=self.server.group.modulus,
             group_generator=self.server.group.generator,
-            digest_log_json=self.digest_log.to_json(),
+            digest_log=self.digest_log.to_records(),
         )
 
     def close(self) -> None:
@@ -984,5 +980,5 @@ class LitmusSession:
     # -- observability -----------------------------------------------------------
 
     def export(self, exporter: Exporter) -> None:
-        """Push every finished span and the current metrics snapshot."""
+        """Push the spans the tracer holds and the current metrics snapshot."""
         exporter.export(self.tracer.finished(), self.registry.snapshot())

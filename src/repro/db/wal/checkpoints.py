@@ -91,7 +91,7 @@ class Checkpoint:
     group_modulus: int
     group_generator: int
     durability: dict  # DurabilityConfig fields minus the directory
-    digest_log_json: str  # DigestLog.to_json payload
+    digest_log: list  # DigestLog.to_records payload
     path: str = ""
     # AD per-row (key, value, relation) primes; None when not journaled
     provider_factors: dict | None = None
@@ -226,7 +226,7 @@ def write_checkpoint(
     group_modulus: int,
     group_generator: int,
     durability: Mapping[str, object],
-    digest_log_json: str,
+    digest_log: list,
     fsync: bool = True,
     on_stage: Callable[[str], None] | None = None,
     keep: int = 2,
@@ -264,7 +264,7 @@ def write_checkpoint(
         "config": dict(config),
         "group": {"modulus": hex(group_modulus), "generator": hex(group_generator)},
         "durability": dict(durability),
-        "digest_log": json.loads(digest_log_json),
+        "digest_log": digest_log,
     }
     body["checksum"] = hashlib.sha256(_canonical(body)).hexdigest()
     data = json.dumps(body).encode("utf-8")
@@ -342,7 +342,7 @@ def _load_one(path: str, fs: FileSystem | None = None) -> Checkpoint:
         group_modulus=int(raw["group"]["modulus"], 16),
         group_generator=int(raw["group"]["generator"], 16),
         durability=dict(raw["durability"]),
-        digest_log_json=json.dumps(raw["digest_log"]),
+        digest_log=raw["digest_log"],
         path=path,
         provider_factors=(
             _decode_factors(provider["factors"]) if "factors" in provider else None

@@ -211,7 +211,11 @@ class IntentJournal:
         fsync: bool = True,
         registry: MetricsRegistry | None = None,
         fs: FileSystem | None = None,
+        records: list[IntentRecord] | None = None,
     ):
+        """*records*, when given, are what a repairing :meth:`scan` of
+        *path* just returned; the journal trusts them instead of scanning
+        the file a second time."""
         if num_shards < 1:
             raise WalError("an intent journal needs a positive shard count")
         self.path = path
@@ -221,7 +225,8 @@ class IntentJournal:
         # Reopening after a crash: truncate any torn/corrupt tail first so
         # appends never land after damaged bytes, then continue the round
         # id sequence past everything already journaled.
-        records, _report = self.scan(path, repair=True, fs=self.fs)
+        if records is None:
+            records, _report = self.scan(path, repair=True, fs=self.fs)
         self.next_round = max((r.round_id for r in records), default=-1) + 1
         self._pending: set[int] = {
             r.round_id for r in records if r.state == STATE_PENDING

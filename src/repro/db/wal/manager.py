@@ -148,7 +148,7 @@ class DurabilityManager:
         config,
         group_modulus: int,
         group_generator: int,
-        digest_log_json: str,
+        digest_log: list,
     ) -> str:
         """Write an atomic checkpoint, then retire the covered segments."""
         path = write_checkpoint(
@@ -162,7 +162,7 @@ class DurabilityManager:
             group_modulus=group_modulus,
             group_generator=group_generator,
             durability=self.config.settings(),
-            digest_log_json=digest_log_json,
+            digest_log=digest_log,
             fsync=self.config.fsync != "never",
             on_stage=self._stage,
             keep=self.config.checkpoint_keep,

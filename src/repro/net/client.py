@@ -608,7 +608,6 @@ class RemoteSession:
             ),
             tickets=tuple(call.ticket for call in resolved),
             timing=None,
-            metrics=MappingProxyType(self.registry.snapshot()),
         )
         self.last_result = result
         return result

@@ -183,11 +183,8 @@ class Histogram:
         if not 0 <= q <= 100:
             raise ValueError("percentile rank must be within [0, 100]")
         with self._lock:
-            if not self._samples:
-                return 0.0
             ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return _nearest_rank(ordered, q)
 
     def _reset(self) -> None:
         with self._lock:
@@ -201,6 +198,7 @@ class Histogram:
         with self._lock:
             count, total = self._count, self._sum
             lo, hi = self._min, self._max
+            ordered = sorted(self._samples)
         return {
             "name": self.name,
             "type": self.kind,
@@ -209,10 +207,18 @@ class Histogram:
             "min": lo if lo is not None else 0.0,
             "max": hi if hi is not None else 0.0,
             "mean": total / count if count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
+            "p50": _nearest_rank(ordered, 50),
+            "p95": _nearest_rank(ordered, 95),
+            "p99": _nearest_rank(ordered, 99),
         }
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The nearest-rank *q*-th percentile of sorted *ordered* (0.0 if empty)."""
+    if not ordered:
+        return 0.0
+    rank = max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 class MetricsRegistry:
@@ -220,8 +226,7 @@ class MetricsRegistry:
 
     ``snapshot()`` returns ``{name: instrument.snapshot()}`` — a plain
     JSON-serializable dict, stable across calls, which is exactly what the
-    exporters write and what :class:`repro.core.session.BatchResult`
-    carries.
+    exporters write.
     """
 
     def __init__(self):

@@ -14,8 +14,11 @@ so durations derived from spans are directly comparable with (and now the
 source of) those fields.
 
 The tracer's buffer of finished spans is bounded (``maxlen``); overflow
-drops the *oldest* records and counts them in :attr:`Tracer.dropped`, so a
-long-lived server cannot leak memory through its default tracer.  A
+drops the *oldest* records and counts them in :attr:`Tracer.dropped`.  The
+process-default tracer is a small ring (:data:`DEFAULT_TRACER_SPANS`), so
+a long-lived server holds the same span memory after its millionth flush
+as after its first; a caller that wants a whole trace (``--trace-out``, a
+test) installs or passes a larger :class:`Tracer`.  A
 per-root index, kept in step with the buffer on every append and eviction,
 answers :meth:`Tracer.spans_in` in time proportional to one tree rather
 than to the whole buffer.
@@ -126,6 +129,8 @@ class Tracer:
         # root_id -> that tree's records, oldest first.  Eviction always
         # takes the buffer's oldest record, which is the oldest of its tree.
         self._by_root: dict[int, deque[SpanRecord]] = {}
+        # span_id -> the list that also receives its record (see collect).
+        self._sinks: dict[int, list[SpanRecord]] = {}
         self._lock = threading.Lock()
         self._local = threading.local()
 
@@ -150,11 +155,26 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
+    def collect(self, span: Span) -> list[SpanRecord]:
+        """Keep every record of *span*'s subtree, whatever the buffer drops.
+
+        Call it on an open *span* before it has children.  The returned
+        list receives each descendant's record as it finishes, and
+        *span*'s own record last; a batch reads its whole tree from it
+        even when the tree is larger than ``maxlen``.
+        """
+        sink: list[SpanRecord] = []
+        self._sinks[span.span_id] = sink
+        return sink
+
     def _push(self, span: Span) -> None:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
         stack.append(span)
+        sink = self._sinks.get(span.parent_id)
+        if sink is not None:
+            self._sinks[span.span_id] = sink
 
     def _pop(self, span: Span, error: bool = False) -> None:
         stack = getattr(self._local, "stack", [])
@@ -173,6 +193,9 @@ class Tracer:
             thread=threading.current_thread().name,
         )
         with self._lock:
+            sink = self._sinks.pop(span.span_id, None)
+            if sink is not None:
+                sink.append(record)
             self._records.append(record)
             self._by_root.setdefault(record.root_id, deque()).append(record)
             while len(self._records) > self.maxlen:
@@ -194,20 +217,6 @@ class Tracer:
         """The finished spans of one tree (e.g. one verification batch)."""
         with self._lock:
             return tuple(self._by_root.get(root_id, ()))
-
-    def subtree(self, span: Span) -> tuple[SpanRecord, ...]:
-        """The finished spans of *span* and its descendants, oldest first.
-
-        Narrower than :meth:`spans_in` when *span* is not a root: batches run
-        under one caller's span all share that caller's tree.  Span ids are
-        allocated in creation order, so a parent's id precedes its children's.
-        """
-        tree = self.spans_in(span.root_id)
-        inside = {span.span_id}
-        for record in sorted(tree, key=lambda r: r.span_id):
-            if record.parent_id in inside:
-                inside.add(record.span_id)
-        return tuple(r for r in tree if r.span_id in inside)
 
     def by_name(self, name: str) -> tuple[SpanRecord, ...]:
         with self._lock:
@@ -244,7 +253,11 @@ __all__.append("stage_totals")
 
 # -- the process-local default tracer -----------------------------------------
 
-_TRACER = Tracer()
+# Spans the process-default tracer keeps: the last few flushes.  A batch's
+# TimingReport does not depend on it; the batch collects its own tree.
+DEFAULT_TRACER_SPANS = 2_048
+
+_TRACER = Tracer(maxlen=DEFAULT_TRACER_SPANS)
 
 
 def get_tracer() -> Tracer:

@@ -62,7 +62,7 @@ def _state(checkpoint: tuple[int, int], *records: tuple[int, int]) -> DurableSta
         group_modulus=0,
         group_generator=0,
         durability={},
-        digest_log_json="[]",
+        digest_log=[],
     )
     return DurableState(
         selection=CheckpointSelection(anchor, "", False, ()),
@@ -256,7 +256,7 @@ def _write_checkpoint(directory: str, seq: int) -> None:
         group_modulus=35,
         group_generator=2,
         durability={},
-        digest_log_json="[]",
+        digest_log=[],
         registry=MetricsRegistry(),
     )
 

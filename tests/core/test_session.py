@@ -73,6 +73,7 @@ class TestSubmitFlush:
     def test_result_carries_timing_and_metrics(self, group):
         # Uses the process-default registry: the db/crypto layers bound
         # their counters to it at import, so only its snapshots carry them.
+        # A result carries no metrics; the session's registry does.
         session = LitmusSession.create(
             initial={}, config=_config(), group=group, tracer=Tracer()
         )
@@ -80,8 +81,9 @@ class TestSubmitFlush:
         result = session.flush()
         assert result.timing is not None
         assert result.timing.num_txns == 1
-        assert result.metrics["db.committed"]["value"] >= 1
-        assert result.metrics["server.batches"]["value"] >= 1
+        metrics = session.registry.snapshot()
+        assert metrics["db.committed"]["value"] >= 1
+        assert metrics["server.batches"]["value"] >= 1
 
     def test_auto_flush_at_capacity(self, group):
         session = LitmusSession.create(
@@ -122,8 +124,9 @@ class TestEmptyFlush:
         assert session.batches_verified == 0
         assert session.digest == digest_before
         # No server round happened: no batch counter movement either.
-        assert "server.batches" not in result.metrics or (
-            result.metrics["server.batches"]["value"] == 0
+        metrics = session.registry.snapshot()
+        assert "server.batches" not in metrics or (
+            metrics["server.batches"]["value"] == 0
         )
 
 

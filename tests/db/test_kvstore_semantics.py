@@ -76,7 +76,7 @@ class TestCheckpointRoundTrip:
             group_modulus=group.modulus,
             group_generator=group.generator,
             durability={"fsync": "always"},
-            digest_log_json=log.to_json(),
+            digest_log=log.to_records(),
         )
         loaded = load_latest_checkpoint(str(tmp_path))
 
@@ -92,7 +92,7 @@ class TestCheckpointRoundTrip:
         assert provider.state() == restored.state()
 
         # The digest log rode along intact, chain hashes included.
-        replayed_log = DigestLog.from_json(loaded.digest_log_json)
+        replayed_log = DigestLog.from_records(loaded.digest_log)
         assert replayed_log.latest_digest == digest
         assert replayed_log.entries() == log.entries()
 
@@ -110,7 +110,7 @@ class TestCheckpointRoundTrip:
             group_modulus=group.modulus,
             group_generator=group.generator,
             durability={},
-            digest_log_json=DigestLog(provider.digest).to_json(),
+            digest_log=DigestLog(provider.digest).to_records(),
         )
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -11,7 +11,6 @@ pure audit, and every pass lands on the ``scrub.*`` counters.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -54,16 +53,14 @@ def _write_ckpt(directory, seq=1, value=7, **overrides):
         group_modulus=group.modulus,
         group_generator=group.generator,
         durability={"fsync": "always"},
-        digest_log_json=json.dumps(
-            [
-                {
-                    "sequence": 0,
-                    "digest": hex(digest),
-                    "num_txns": 0,
-                    "entry_hash": "00" * 32,
-                }
-            ]
-        ),
+        digest_log=[
+            {
+                "sequence": 0,
+                "digest": hex(digest),
+                "num_txns": 0,
+                "entry_hash": "00" * 32,
+            }
+        ],
     )
     kwargs.update(overrides)
     return write_checkpoint(str(directory), **kwargs)

@@ -8,7 +8,6 @@ repair instead of raise, checkpoints are atomic and fall back past rot.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -278,16 +277,14 @@ def _write_ckpt(directory, seq=1, digest=42, rows=None, **overrides):
         group_modulus=0xC5,
         group_generator=0x04,
         durability={"fsync": "always"},
-        digest_log_json=json.dumps(
-            [
-                {
-                    "sequence": 0,
-                    "digest": hex(digest),
-                    "num_txns": 0,
-                    "entry_hash": "00" * 32,
-                }
-            ]
-        ),
+        digest_log=[
+            {
+                "sequence": 0,
+                "digest": hex(digest),
+                "num_txns": 0,
+                "entry_hash": "00" * 32,
+            }
+        ],
     )
     kwargs.update(overrides)
     return write_checkpoint(str(directory), **kwargs)
