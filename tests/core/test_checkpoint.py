@@ -27,25 +27,25 @@ class TestDigestLog:
     def test_roundtrip_json(self):
         log = DigestLog(initial_digest=0xABCDEF)
         log.record(0x123456, num_txns=7)
-        restored = DigestLog.from_json(log.to_json())
+        restored = DigestLog.from_records(json.loads(json.dumps(log.to_records())))
         assert restored.latest_digest == log.latest_digest
         assert restored.latest_hash == log.latest_hash
 
     def test_tampered_digest_detected(self):
         log = DigestLog(initial_digest=1)
         log.record(2, num_txns=10)
-        payload = json.loads(log.to_json())
+        payload = log.to_records()
         payload[1]["digest"] = hex(999)
         with pytest.raises(VerificationFailure):
-            DigestLog.from_json(json.dumps(payload))
+            DigestLog.from_records(payload)
 
     def test_tampered_count_detected(self):
         log = DigestLog(initial_digest=1)
         log.record(2, num_txns=10)
-        payload = json.loads(log.to_json())
+        payload = log.to_records()
         payload[1]["num_txns"] = 99
         with pytest.raises(VerificationFailure):
-            DigestLog.from_json(json.dumps(payload))
+            DigestLog.from_records(payload)
 
     def test_truncation_survives_but_tail_hash_differs(self):
         """Dropping the tail yields a valid but *shorter* chain — the client
@@ -53,13 +53,13 @@ class TestDigestLog:
         log = DigestLog(initial_digest=1)
         log.record(2, num_txns=10)
         remembered = log.latest_hash
-        payload = json.loads(log.to_json())[:-1]
-        truncated = DigestLog.from_json(json.dumps(payload))
+        payload = log.to_records()[:-1]
+        truncated = DigestLog.from_records(payload)
         assert truncated.latest_hash != remembered
 
     def test_empty_log_rejected(self):
         with pytest.raises(VerificationFailure):
-            DigestLog.from_json("[]")
+            DigestLog.from_records([])
 
     def test_resume_flow_with_litmus(self, group):
         """A client restart from the persisted log resumes verification."""
@@ -78,7 +78,7 @@ class TestDigestLog:
         log.record(verdict.new_digest, num_txns=len(first))
 
         # Simulate a restart: a new client built purely from the log.
-        restored = DigestLog.from_json(log.to_json())
+        restored = DigestLog.from_records(json.loads(json.dumps(log.to_records())))
         resumed = LitmusClient(group, restored.latest_digest, config=config)
         second = [increment(i, 1) for i in range(4, 7)]
         verdict2 = resumed.verify_response(second, server.execute_batch(second))
